@@ -211,6 +211,15 @@ class TestRadiusCommand:
     def test_rejects_short_grid(self, tmp_path):
         assert run_cli("radius", "--n-grid", "100,200", "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("method", ["sgd", "scalar-bfgs"])
+    def test_rejects_unusable_method_without_writing(self, tmp_path, method):
+        code = run_cli(
+            "radius", "--method", method, "--d", 4, "--n-grid", "50,100,200",
+            "--trials", 2, "--out", tmp_path / "radius.csv",
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSvgCommand:
     def write_csv(self, path, rows, header=("x", "y")):

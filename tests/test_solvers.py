@@ -354,6 +354,70 @@ class TestScalarBfgs:
             run_scalar_bfgs(loss, 1.0, 0.9, SolverConfig())
 
 
+class Cliff:
+    """f = s * theta'theta / 2 with gradient s * theta, whose value is +inf
+    wherever ||theta|| > 2.  ``hessian_inverse`` is ``scale * I`` so that
+    Newton, like the other methods, can jump past the cliff in one step."""
+
+    def __init__(self, sign=1.0, scale=1.0):
+        self.sign, self.scale = sign, scale
+        self.theta_opt = np.zeros(1)
+
+    def value_and_gradient(self, theta):
+        value = 0.5 * self.sign * float(theta @ theta)
+        if np.linalg.norm(theta) > 2.0:
+            value = np.inf
+        return value, self.sign * theta
+
+    def hessian_inverse(self, theta):
+        return self.scale * np.eye(theta.size)
+
+
+class TestStopPrecedence:
+    def test_breakdown_on_last_allowed_step_beats_max_iters(self):
+        # concave: the first BFGS step has curvature s'u = -0.01
+        trace = run_bfgs(
+            Cliff(sign=-1.0), np.array([1.0]), np.array([[0.1]]),
+            SolverConfig(max_iters=1),
+        )
+        assert trace.stop_reason == STOP_SECANT_BREAKDOWN
+        assert len(trace) == 2
+        assert trace.iterates[1] == pytest.approx(1.1, rel=1e-15)
+        assert len(trace.step_info.get("secant_residual", ())) == 0
+
+    @pytest.mark.parametrize("method", ["gd-constant", "gd-polyak", "newton", "bfgs"])
+    def test_non_finite_value_on_last_allowed_step_is_diverged(self, method):
+        # every method steps from 1 to -4 or -7, past the cliff at |theta| = 2
+        obj = Cliff(scale=5.0)
+        theta0 = np.array([1.0])
+        config = SolverConfig(step_size=5.0, max_iters=1)
+        trace = {
+            "gd-constant": lambda: run_gd_constant(obj, theta0, config),
+            "gd-polyak": lambda: run_gd_polyak(obj, theta0, -7.5, config),
+            "newton": lambda: run_newton(obj, theta0, config),
+            "bfgs": lambda: run_bfgs(obj, theta0, 5.0 * np.eye(1), config),
+        }[method]()
+        assert len(trace) == 2
+        assert not np.isfinite(trace.losses[-1])
+        assert trace.stop_reason == STOP_DIVERGED
+
+    @pytest.mark.parametrize("f_star,max_iters", [(0.0, 25), (1.0, 10)])
+    def test_polyak_step_sizes_one_per_step(self, f_star, max_iters):
+        trace = run_gd_polyak(
+            scalar_quartic(), np.array([1.0]), f_star, SolverConfig(max_iters=max_iters)
+        )
+        assert len(trace.step_info.get("step_size", ())) == len(trace) - 1
+
+    @pytest.mark.parametrize("seed,max_iters", [(73, 3), (76, 10_000)])
+    def test_bfgs_diagnostics_one_per_update(self, seed, max_iters):
+        obj = zero_opt_instance(3, 4, seed=seed)
+        trace = run_bfgs(obj, rng.normals(seed + 1, 3), None, SolverConfig(max_iters=max_iters))
+        # a breakdown records its iterate but makes no update
+        updates = len(trace) - (2 if trace.stop_reason == STOP_SECANT_BREAKDOWN else 1)
+        for key in ("secant_residual", "h_asymmetry"):
+            assert len(trace.step_info.get(key, ())) == updates
+
+
 class TestTraceShape:
     def test_lists_share_length(self):
         obj = zero_opt_instance(3, 4, seed=80)
