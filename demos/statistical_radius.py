@@ -31,11 +31,11 @@ def show(tag, result):
 
 
 def main():
-    solver = SolverConfig(method="bfgs", max_iters=100)
+    solver = SolverConfig(max_iters=100)
 
     low = run_radius_sweep(
         low_snr_config(d=4, p=2), solver, N_GRID, trials=40, seed0=11,
-        init_radius=2.0,
+        init_radius=2.0, method="bfgs",
     )
     show("low SNR (theta* = 0, decaying covariance): expect slope near -1/4", low)
 
@@ -44,7 +44,8 @@ def main():
         regime="high-snr",
     )
     high = run_radius_sweep(
-        high_config, solver, N_GRID, trials=40, seed0=11, init_radius=1.0
+        high_config, solver, N_GRID, trials=40, seed0=11, init_radius=1.0,
+        method="bfgs",
     )
     show("high SNR (unit theta*, isotropic covariance): expect slope near -1/2", high)
 

@@ -34,7 +34,6 @@ from .rates import (
     scalar_secant_contraction_bound,
 )
 from .solvers import (
-    BfgsState,
     SolverConfig,
     SolverTrace,
     bfgs_update,

@@ -16,8 +16,8 @@ Subcommands:
 Every CSV is written together with a ``<out>.manifest`` key=value file
 recording the resolved parameters, so a run can be reproduced exactly.
 Values resolve as flags > config file (``--config``, key=value lines) >
-built-in defaults.  Exit codes: 0 success, 2 usage error, 3 I/O error,
-4 assumption violation after retries.
+built-in defaults.  Exit codes: 0 success, 1 failed selfcheck, 2 usage
+error, 3 I/O error, 4 assumption violation after retries.
 """
 
 import argparse
@@ -53,6 +53,7 @@ from .rates import (
     newton_factor,
 )
 from .solvers import (
+    STOPS_INTERRUPTED,
     SolverConfig,
     run_bfgs,
     run_gd_constant,
@@ -320,28 +321,21 @@ def cmd_empirical(params) -> int:
             trace = run_glm_method(
                 method, train, theta0, solver, config.theta_star, config.noise_var
             )
-            if trace.stop_reason in ("diverged", "secant-breakdown"):
+            if trace.stop_reason in STOPS_INTERRUPTED:
                 interrupted.append(f"{method}/{trial}:{trace.stop_reason}")
             choice = early_stop_by_validation(trace, val)
-            with np.errstate(all="ignore"):
-                for k in range(len(trace)):
-                    theta_k = np.atleast_1d(trace.iterates[k])
-                    val_loss = (
-                        val.value(theta_k)
-                        if np.all(np.isfinite(theta_k))
-                        else float("nan")
+            for k in range(len(trace)):
+                rows.append(
+                    (
+                        method,
+                        trial,
+                        k,
+                        trace.errors[k],
+                        trace.losses[k],
+                        choice.losses[k],
+                        1 if k == choice.index else 0,
                     )
-                    rows.append(
-                        (
-                            method,
-                            trial,
-                            k,
-                            trace.errors[k],
-                            trace.losses[k],
-                            val_loss,
-                            1 if k == choice.index else 0,
-                        )
-                    )
+                )
     out = _out_path(params["out"])
     _write_csv(
         out,
@@ -380,14 +374,14 @@ def cmd_radius(params) -> int:
         params["regime"], params["d"], params["p"], params["seed"],
         cov=params["cov"],
     )
-    solver = SolverConfig(method=params["method"], max_iters=params["max-iters"])
     result = run_radius_sweep(
         config,
-        solver,
+        SolverConfig(max_iters=params["max-iters"]),
         params["n-grid"],
         params["trials"],
         params["seed"],
         init_radius=params["init-radius"],
+        method=params["method"],
     )
     rows = list(result.summaries())
     rows.append(("slope", result.fitted_slope, result.slope_stderr, "", ""))

@@ -13,7 +13,6 @@ records the best error along each trace against theta_star, and fits the
 log-log slope of the per-size medians — the empirical statistical radius.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,8 @@ import numpy as np
 from . import rng
 from .objectives import EmpiricalGlmLoss
 from .solvers import (
+    METHODS,
+    STOPS_INTERRUPTED,
     SolverConfig,
     initial_inverse_hessian,
     run_bfgs,
@@ -176,29 +177,32 @@ def empirical_optimum_scalar(loss: EmpiricalGlmLoss, sign_hint: float = 1.0) -> 
 
 @dataclass(frozen=True)
 class EarlyStopChoice:
+    """The chosen trace index, its validation loss, and the validation loss
+    at every iterate (the raw value at a finite iterate, NaN at a
+    non-finite one)."""
+
     index: int
     val_loss: float
+    losses: np.ndarray
 
 
 def early_stop_by_validation(trace, validation_loss) -> EarlyStopChoice:
     """Trace index minimizing validation loss over every recorded iterate.
 
-    Ties break toward the smallest index; non-finite evaluations are
-    skipped.
+    Ties break toward the smallest index; non-finite losses never win, and
+    ``val_loss`` is inf when no iterate has a finite one.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    vals = np.full(len(trace), np.inf)
+    losses = np.full(len(trace), np.nan)
     with np.errstate(all="ignore"):
         for i, theta in enumerate(trace.iterates):
             point = np.atleast_1d(theta)
-            if not np.all(np.isfinite(point)):
-                continue  # diverged tail entries never win
-            value = validation_loss.value(point)
-            if np.isfinite(value):
-                vals[i] = value
-    idx = int(np.argmin(vals))
-    return EarlyStopChoice(index=idx, val_loss=float(vals[idx]))
+            if np.all(np.isfinite(point)):
+                losses[i] = validation_loss.value(point)
+    candidates = np.where(np.isfinite(losses), losses, np.inf)
+    idx = int(np.argmin(candidates))
+    return EarlyStopChoice(index=idx, val_loss=float(candidates[idx]), losses=losses)
 
 
 def fit_loglog_slope(xs, ys):
@@ -246,10 +250,6 @@ class RadiusSweepResult:
         return out
 
 
-def _without_method(config: SolverConfig) -> SolverConfig:
-    return dataclasses.replace(config, method=None)
-
-
 def run_glm_method(
     method: str,
     loss: EmpiricalGlmLoss,
@@ -264,7 +264,6 @@ def run_glm_method(
     ordered pair; the Polyak step uses the model noise variance as the
     known optimal value (the population loss at the truth).
     """
-    cfg = _without_method(config)
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
     if method == "scalar-bfgs" and loss.d != 1:
         raise ValueError("scalar-bfgs needs a one-dimensional loss")
@@ -275,21 +274,21 @@ def run_glm_method(
             else (SCALAR_START[1], SCALAR_START[0])
         )
         return run_scalar_bfgs(
-            loss, theta0_s, prev_s, cfg, theta_ref=float(theta_ref[0])
+            loss, theta0_s, prev_s, config, theta_ref=float(theta_ref[0])
         )
     if method == "bfgs":
         h0 = initial_inverse_hessian(loss, theta0)
-        return run_bfgs(loss, theta0, h0, cfg, theta_ref)
+        return run_bfgs(loss, theta0, h0, config, theta_ref)
     if method == "gd-constant":
-        return run_gd_constant(loss, theta0, cfg, theta_ref)
+        return run_gd_constant(loss, theta0, config, theta_ref)
     if method == "gd-polyak":
         # the population loss at the truth equals the noise variance, the
         # best available stand-in for the unknown empirical optimum; small
         # samples can start below it, so clamp to keep steps non-negative
         f_star = min(noise_var, loss.value(np.atleast_1d(theta0)))
-        return run_gd_polyak(loss, theta0, f_star, cfg, theta_ref)
+        return run_gd_polyak(loss, theta0, f_star, config, theta_ref)
     if method == "newton":
-        return run_newton(loss, theta0, cfg, theta_ref)
+        return run_newton(loss, theta0, config, theta_ref)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -301,10 +300,11 @@ def run_radius_sweep(
     seed0: int,
     init_radius: float = 1.0,
     train_fraction: float = 0.9,
+    method: str = "bfgs",
 ) -> RadiusSweepResult:
-    """Sweep sample sizes: per (n, trial), generate data, run the solver,
-    record the minimum error to theta_star, and fit the log-log slope of
-    the per-size medians.
+    """Sweep sample sizes: per (n, trial), generate data, run ``method``
+    through ``run_glm_method``, record the minimum error to theta_star, and
+    fit the log-log slope of the per-size medians.
 
     Vector runs start at theta_star + init_radius * (uniform unit vector);
     when theta_star is nonzero the direction is drawn from the hemisphere
@@ -319,7 +319,8 @@ def run_radius_sweep(
         raise ValueError("n_grid must be sorted ascending")
     if trials < 1:
         raise ValueError("need at least one trial")
-    method = solver.method or "bfgs"
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     rows = []
     for i_n, n in enumerate(n_grid):
         for trial in range(trials):
@@ -343,7 +344,7 @@ def run_radius_sweep(
                     min_error=trace.min_error,
                     iters_to_min=trace.iters_to_min,
                     early_stop_error=float(trace.errors[choice.index]),
-                    flagged=trace.stop_reason in ("diverged", "secant-breakdown"),
+                    flagged=trace.stop_reason in STOPS_INTERRUPTED,
                 )
             )
     medians = [

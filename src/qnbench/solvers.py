@@ -11,6 +11,8 @@ Each run owns its mutable state; traces are built once and treated as
 immutable afterwards.  Runs on a shared objective may proceed concurrently.
 """
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,9 @@ STOP_GRAD_TOL = "grad-tol"
 STOP_MAX_ITERS = "max-iters"
 STOP_DIVERGED = "diverged"
 STOP_SECANT_BREAKDOWN = "secant-breakdown"
+
+# Stop reasons that cut a run short of convergence or of its budget.
+STOPS_INTERRUPTED = (STOP_DIVERGED, STOP_SECANT_BREAKDOWN)
 
 # Relative floor on the BFGS curvature s'u; the rate theory guarantees
 # positive curvature on its trajectory but finite precision near the
@@ -45,19 +50,15 @@ class SolverConfig:
     """Run limits shared by all methods.
 
     ``step_size`` is read by gd-constant only; Newton and both BFGS forms
-    always take unit steps.  ``method``, when set, must match the runner it
-    is passed to.
+    always take unit steps.
     """
 
-    method: str | None = None
     step_size: float = 0.1
     max_iters: int = 10_000
     grad_tol: float = 0.0
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        if self.method is not None and self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.grad_tol < 0:
@@ -105,79 +106,103 @@ class SolverTrace:
         return int(np.argmin(masked))
 
 
-class _TraceBuilder:
-    def __init__(self, theta_ref, config):
-        self.theta_ref = np.asarray(theta_ref, dtype=float)
-        self.config = config
-        self.iterates = []
-        self.errors = []
-        self.grad_norms = []
-        self.losses = []
-        self.step_info = {}
+def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
+             step_info=None) -> SolverTrace:
+    """The iteration shared by every solver: record the starting points,
+    then stop check, step, evaluate and record until a stop.
 
-    def record(self, theta, loss, grad):
-        self.iterates.append(np.array(theta, dtype=float, copy=True))
-        self.errors.append(float(np.linalg.norm(theta - self.theta_ref)))
-        self.grad_norms.append(float(np.linalg.norm(grad)))
-        self.losses.append(float(loss))
+    ``starts`` lists evaluated ``(theta, loss, grad)`` triples, recorded in
+    order; the loop continues from the last.  Before each step, ``check``
+    (when given) sees the last recorded loss and gradient norm and may
+    return a stop reason; then the run stops as diverged at a non-finite
+    loss, gradient norm or error, as converged at a gradient norm within
+    ``grad_tol``, and as diverged at an error above ``divergence_cap``.
+    ``step(theta, loss, grad)`` returns the next iterate, or ``None`` when
+    its secant denominator has broken down.  After each record,
+    ``after(theta, grad, theta_next, grad_next)`` (when given) may return
+    a stop reason; the new iterate is recorded either way.  A run that
+    uses all ``max_iters`` steps and ends on a diverged record is
+    labelled diverged.  ``step_info`` maps names to lists that the
+    callbacks fill, one entry per step or update.
+    """
+    size = config.max_iters + len(starts)
+    iterates = np.empty((size, *np.shape(starts[0][0])))
+    errors = np.empty(size)
+    grad_norms = np.empty(size)
+    losses = np.empty(size)
+    theta_ref = np.asarray(theta_ref, dtype=float)
+    count = 0
 
-    def note(self, key, value):
-        self.step_info.setdefault(key, []).append(value)
+    def record(theta, loss, grad):
+        nonlocal count
+        iterates[count] = theta
+        errors[count] = np.linalg.norm(theta - theta_ref)
+        grad_norms[count] = np.linalg.norm(grad)
+        losses[count] = loss
+        count += 1
 
-    def stop_reason_at_last(self):
-        """Termination reason implied by the most recent record, or None."""
-        if not (
-            np.isfinite(self.losses[-1])
-            and np.isfinite(self.grad_norms[-1])
-            and np.isfinite(self.errors[-1])
-        ):
+    def limit_stop():
+        loss, grad_norm = losses[count - 1], grad_norms[count - 1]
+        error = errors[count - 1]
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)
+                and math.isfinite(error)):
             return STOP_DIVERGED
-        if self.grad_norms[-1] <= self.config.grad_tol:
+        if grad_norm <= config.grad_tol:
             return STOP_GRAD_TOL
-        if self.errors[-1] > self.config.divergence_cap:
+        if error > config.divergence_cap:
             return STOP_DIVERGED
         return None
 
-    def build(self, stop_reason):
-        if stop_reason == STOP_MAX_ITERS and self.stop_reason_at_last() == STOP_DIVERGED:
-            stop_reason = STOP_DIVERGED
-        return SolverTrace(
-            iterates=np.asarray(self.iterates),
-            errors=np.asarray(self.errors),
-            grad_norms=np.asarray(self.grad_norms),
-            losses=np.asarray(self.losses),
-            stop_reason=stop_reason,
-            step_info={k: np.asarray(v) for k, v in self.step_info.items()},
-        )
+    with np.errstate(all="ignore"):
+        for start in starts:
+            record(*start)
+        theta, loss, grad = starts[-1]
+        for _ in range(config.max_iters):
+            stop = check(losses[count - 1], grad_norms[count - 1]) if check else None
+            stop = stop or limit_stop()
+            if stop is not None:
+                break
+            theta_next = step(theta, loss, grad)
+            if theta_next is None:
+                stop = STOP_SECANT_BREAKDOWN
+                break
+            loss, grad_next = evaluate(theta_next)
+            record(theta_next, loss, grad_next)
+            stop = after(theta, grad, theta_next, grad_next) if after else None
+            if stop is not None:
+                break
+            theta, grad = theta_next, grad_next
+        else:
+            stop = STOP_DIVERGED if limit_stop() == STOP_DIVERGED else STOP_MAX_ITERS
+    return SolverTrace(
+        iterates=iterates[:count],
+        errors=errors[:count],
+        grad_norms=grad_norms[:count],
+        losses=losses[:count],
+        stop_reason=stop,
+        step_info={key: np.asarray(value) for key, value in (step_info or {}).items()},
+    )
 
 
-def _check_method(config, expected):
-    if config.method is not None and config.method != expected:
-        raise ValueError(f"config.method is {config.method!r}, expected {expected!r}")
+def _vector_start(objective, theta0, theta_ref):
+    """Evaluated starting triple and reference point of a vector run."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    if theta_ref is None:
+        theta_ref = objective.theta_opt
+    return (theta, *objective.value_and_gradient(theta)), theta_ref
 
 
 def run_gd_constant(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """Gradient descent theta <- theta - step_size * grad(theta)."""
     config = config or SolverConfig()
-    _check_method(config, "gd-constant")
     if config.step_size <= 0:
         raise ValueError("gd-constant needs a positive step_size")
-    if theta_ref is None:
-        theta_ref = getattr(objective, "theta_opt")
-    theta = np.asarray(theta0, dtype=float).copy()
-    trace = _TraceBuilder(theta_ref, config)
-    loss, grad = objective.value_and_gradient(theta)
-    trace.record(theta, loss, grad)
-    stop = None
-    with np.errstate(all="ignore"):
-        for _ in range(config.max_iters):
-            stop = trace.stop_reason_at_last()
-            if stop is not None:
-                break
-            theta = theta - config.step_size * grad
-            loss, grad = objective.value_and_gradient(theta)
-            trace.record(theta, loss, grad)
-    return trace.build(stop or STOP_MAX_ITERS)
+    start, theta_ref = _vector_start(objective, theta0, theta_ref)
+
+    def step(theta, _loss, grad):
+        return theta - config.step_size * grad
+
+    return _iterate(objective.value_and_gradient, [start], theta_ref, config, step)
 
 
 def run_gd_polyak(objective, theta0, f_star, config=None, theta_ref=None) -> SolverTrace:
@@ -189,38 +214,30 @@ def run_gd_polyak(objective, theta0, f_star, config=None, theta_ref=None) -> Sol
     cannot occur on the convex pow-norm family, but is guarded anyway).
     """
     config = config or SolverConfig()
-    _check_method(config, "gd-polyak")
-    if theta_ref is None:
-        theta_ref = getattr(objective, "theta_opt")
-    theta = np.asarray(theta0, dtype=float).copy()
-    trace = _TraceBuilder(theta_ref, config)
-    loss, grad = objective.value_and_gradient(theta)
-    if f_star > loss:
+    start, theta_ref = _vector_start(objective, theta0, theta_ref)
+    if f_star > start[1]:
         raise ValueError("f_star must not exceed the starting value")
-    trace.record(theta, loss, grad)
-    stop = None
-    with np.errstate(all="ignore"):
-        for _ in range(config.max_iters):
-            grad_norm = trace.grad_norms[-1]
-            if not (np.isfinite(loss) and np.isfinite(grad_norm)):
-                stop = STOP_DIVERGED
-            elif loss - f_star <= 0.0:
-                stop = STOP_GRAD_TOL
-            elif grad_norm == 0.0:
-                # stationary but above the target value: cannot step
-                stop = STOP_SECANT_BREAKDOWN
-            elif grad_norm <= config.grad_tol:
-                stop = STOP_GRAD_TOL
-            elif trace.errors[-1] > config.divergence_cap:
-                stop = STOP_DIVERGED
-            if stop is not None:
-                break
-            step = (loss - f_star) / float(grad @ grad)
-            trace.note("step_size", step)
-            theta = theta - step * grad
-            loss, grad = objective.value_and_gradient(theta)
-            trace.record(theta, loss, grad)
-    return trace.build(stop or STOP_MAX_ITERS)
+    step_sizes = []
+
+    def check(loss, grad_norm):
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+            return STOP_DIVERGED
+        if loss - f_star <= 0.0:
+            return STOP_GRAD_TOL
+        if grad_norm == 0.0:
+            # stationary but above the target value: cannot step
+            return STOP_SECANT_BREAKDOWN
+        return None
+
+    def step(theta, loss, grad):
+        step_size = (loss - f_star) / float(grad @ grad)
+        step_sizes.append(step_size)
+        return theta - step_size * grad
+
+    return _iterate(
+        objective.value_and_gradient, [start], theta_ref, config, step, check=check,
+        step_info={"step_size": step_sizes},
+    )
 
 
 def _solve_symmetric(matrix, rhs, ridge):
@@ -256,33 +273,12 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     exact Hessian with a small ridge retry on failure.
     """
     config = config or SolverConfig()
-    _check_method(config, "newton")
-    if theta_ref is None:
-        theta_ref = getattr(objective, "theta_opt")
-    theta = np.asarray(theta0, dtype=float).copy()
-    trace = _TraceBuilder(theta_ref, config)
-    loss, grad = objective.value_and_gradient(theta)
-    trace.record(theta, loss, grad)
-    stop = None
-    with np.errstate(all="ignore"):
-        for _ in range(config.max_iters):
-            stop = trace.stop_reason_at_last()
-            if stop is not None:
-                break
-            theta = theta - _newton_direction(objective, theta, grad)
-            loss, grad = objective.value_and_gradient(theta)
-            trace.record(theta, loss, grad)
-    return trace.build(stop or STOP_MAX_ITERS)
+    start, theta_ref = _vector_start(objective, theta0, theta_ref)
 
+    def step(theta, _loss, grad):
+        return theta - _newton_direction(objective, theta, grad)
 
-@dataclass
-class BfgsState:
-    """Mutable state of a matrix-BFGS run: inverse-Hessian approximation,
-    current iterate, and current gradient."""
-
-    h_matrix: np.ndarray
-    theta: np.ndarray
-    grad: np.ndarray
+    return _iterate(objective.value_and_gradient, [start], theta_ref, config, step)
 
 
 def bfgs_update(h, s, u) -> np.ndarray:
@@ -323,48 +319,38 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     secant breakdown.
     """
     config = config or SolverConfig()
-    _check_method(config, "bfgs")
-    if theta_ref is None:
-        theta_ref = getattr(objective, "theta_opt")
-    theta = np.asarray(theta0, dtype=float).copy()
     if h0 is None:
-        h0 = initial_inverse_hessian(objective, theta)
+        h = initial_inverse_hessian(objective, np.asarray(theta0, dtype=float))
     else:
         h0 = np.asarray(h0, dtype=float)
         scale = max(1.0, float(np.max(np.abs(h0))))
         if float(np.max(np.abs(h0 - h0.T))) > 1e-10 * scale:
             raise ValueError("h0 must be symmetric")
-    state = BfgsState(h_matrix=h0.copy(), theta=theta, grad=None)
-    trace = _TraceBuilder(theta_ref, config)
-    loss, state.grad = objective.value_and_gradient(state.theta)
-    trace.record(state.theta, loss, state.grad)
-    stop = None
-    with np.errstate(all="ignore"):
-        for _ in range(config.max_iters):
-            stop = trace.stop_reason_at_last()
-            if stop is not None:
-                break
-            theta_next = state.theta - state.h_matrix @ state.grad
-            loss, grad_next = objective.value_and_gradient(theta_next)
-            trace.record(theta_next, loss, grad_next)
-            s = theta_next - state.theta
-            u = grad_next - state.grad
-            curvature = float(s @ u)
-            if not np.isfinite(curvature) or curvature <= CURVATURE_FLOOR * float(
-                np.linalg.norm(s) * np.linalg.norm(u)
-            ):
-                stop = STOP_SECANT_BREAKDOWN
-                break
-            state.h_matrix = bfgs_update(state.h_matrix, s, u)
-            trace.note(
-                "secant_residual",
-                float(np.linalg.norm(state.h_matrix @ u - s) / np.linalg.norm(s)),
-            )
-            trace.note(
-                "h_asymmetry", float(np.max(np.abs(state.h_matrix - state.h_matrix.T)))
-            )
-            state.theta, state.grad = theta_next, grad_next
-    return trace.build(stop or STOP_MAX_ITERS)
+        h = h0.copy()
+    start, theta_ref = _vector_start(objective, theta0, theta_ref)
+    residuals, asymmetries = [], []
+
+    def step(theta, _loss, grad):
+        return theta - h @ grad
+
+    def after(theta, grad, theta_next, grad_next):
+        nonlocal h
+        s = theta_next - theta
+        u = grad_next - grad
+        curvature = float(s @ u)
+        if not np.isfinite(curvature) or curvature <= CURVATURE_FLOOR * float(
+            np.linalg.norm(s) * np.linalg.norm(u)
+        ):
+            return STOP_SECANT_BREAKDOWN
+        h = bfgs_update(h, s, u)
+        residuals.append(float(np.linalg.norm(h @ u - s) / np.linalg.norm(s)))
+        asymmetries.append(float(np.max(np.abs(h - h.T))))
+        return None
+
+    return _iterate(
+        objective.value_and_gradient, [start], theta_ref, config, step, after=after,
+        step_info={"secant_residual": residuals, "h_asymmetry": asymmetries},
+    )
 
 
 def run_scalar_bfgs(
@@ -380,7 +366,6 @@ def run_scalar_bfgs(
     starting points are recorded at the head of the trace.
     """
     config = config or SolverConfig()
-    _check_method(config, "scalar-bfgs")
     if getattr(loss, "d", 1) != 1:
         raise ValueError("run_scalar_bfgs needs a one-dimensional loss")
 
@@ -388,39 +373,34 @@ def run_scalar_bfgs(
         value, grad = loss.value_and_gradient(np.array([t]))
         return value, float(grad[0])
 
-    trace = _TraceBuilder(np.asarray(float(theta_ref)), config)
     if theta_prev is None:
         prev = float(theta0)
-        f_prev, g_prev = eval_at(prev)
-        trace.record(prev, f_prev, g_prev)
-        if abs(g_prev) <= config.grad_tol:
-            return trace.build(STOP_GRAD_TOL)
-        cur = prev - SCALAR_BOOTSTRAP_STEP * g_prev
+        starts = [(prev, *eval_at(prev))]
+        g_prev = starts[0][2]
+        # a start already within grad_tol is the whole run: the driver's
+        # first stop check ends it
+        if not abs(g_prev) <= config.grad_tol:
+            cur = prev - SCALAR_BOOTSTRAP_STEP * g_prev
+            starts.append((cur, *eval_at(cur)))
     else:
         prev, cur = float(theta_prev), float(theta0)
         if cur == prev:
             raise ValueError("the two starting points must differ")
-        f_prev, g_prev = eval_at(prev)
-        trace.record(prev, f_prev, g_prev)
-    f_cur, g_cur = eval_at(cur)
-    trace.record(cur, f_cur, g_cur)
-    if theta_prev is not None and g_cur == g_prev:
-        raise ValueError("gradients at the two starting points must differ")
-    stop = None
-    with np.errstate(all="ignore"):
-        for _ in range(config.max_iters):
-            stop = trace.stop_reason_at_last()
-            if stop is not None:
-                break
-            denom = g_cur - g_prev
-            if abs(denom) < SCALAR_SECANT_FLOOR:
-                stop = STOP_SECANT_BREAKDOWN
-                break
-            nxt = cur - (cur - prev) / denom * g_cur
-            f_nxt, g_nxt = eval_at(nxt)
-            trace.record(nxt, f_nxt, g_nxt)
-            prev, g_prev, cur, g_cur = cur, g_cur, nxt, g_nxt
-    return trace.build(stop or STOP_MAX_ITERS)
+        starts = [(prev, *eval_at(prev)), (cur, *eval_at(cur))]
+        g_prev = starts[0][2]
+        if starts[1][2] == g_prev:
+            raise ValueError("gradients at the two starting points must differ")
+
+    def step(cur, _loss, g_cur):
+        nonlocal prev, g_prev
+        denom = g_cur - g_prev
+        if abs(denom) < SCALAR_SECANT_FLOOR:
+            return None
+        nxt = cur - (cur - prev) / denom * g_cur
+        prev, g_prev = cur, g_cur
+        return nxt
+
+    return _iterate(eval_at, starts, float(theta_ref), config, step)
 
 
 def gd_step_grid_search(objective, theta0, steps, config=None, theta_ref=None):
@@ -436,13 +416,7 @@ def gd_step_grid_search(objective, theta0, steps, config=None, theta_ref=None):
     config = config or SolverConfig()
     traces = {}
     for step in steps:
-        run_config = SolverConfig(
-            method=None,
-            step_size=step,
-            max_iters=config.max_iters,
-            grad_tol=config.grad_tol,
-            divergence_cap=config.divergence_cap,
-        )
+        run_config = dataclasses.replace(config, step_size=step)
         traces[step] = run_gd_constant(objective, theta0, run_config, theta_ref)
 
     def quality(step):

@@ -214,10 +214,11 @@ def test_criterion_9_statistical_radius_slopes():
     # measurable (see the radius notes in the README).
     started = time.time()
     n_grid = [100, 316, 1000, 3162, 10000]
-    solver = SolverConfig(method="bfgs", max_iters=100)
+    solver = SolverConfig(max_iters=100)
 
     low = run_radius_sweep(
-        low_snr_config(4, 2), solver, n_grid, trials=40, seed0=11, init_radius=2.0
+        low_snr_config(4, 2), solver, n_grid, trials=40, seed0=11, init_radius=2.0,
+        method="bfgs",
     )
     ok = abs(low.fitted_slope - (-0.25)) <= 0.08
 
@@ -226,7 +227,8 @@ def test_criterion_9_statistical_radius_slopes():
         regime="high-snr",
     )
     high = run_radius_sweep(
-        high_config, solver, n_grid, trials=40, seed0=11, init_radius=1.0
+        high_config, solver, n_grid, trials=40, seed0=11, init_radius=1.0,
+        method="bfgs",
     )
     ok = ok and abs(high.fitted_slope - (-0.5)) <= 0.1
     # the iteration index of the best error grows no faster than log(n)

@@ -170,6 +170,24 @@ class TestEmpiricalCommand:
     def test_rejects_tiny_n(self, tmp_path):
         assert run_cli("empirical", "--n", 5, "--out", tmp_path / "x.csv") == 2
 
+    def test_val_loss_column_is_early_stop_losses(self, tmp_path, monkeypatch):
+        import qnbench.cli
+        from qnbench.glmsim import early_stop_by_validation
+
+        choices = []
+
+        def keep(trace, val):
+            choices.append(early_stop_by_validation(trace, val))
+            return choices[-1]
+
+        monkeypatch.setattr(qnbench.cli, "early_stop_by_validation", keep)
+        out = tmp_path / "empirical.csv"
+        run_cli("empirical", "--n", 200, "--trials", 2, "--iters", 15, "--out", out)
+        _, rows = read_csv(out)
+        assert [row[5] for row in rows] == [
+            repr(float(value)) for choice in choices for value in choice.losses
+        ]
+
 
 class TestRadiusCommand:
     def test_low_snr_slope_in_band(self, tmp_path):

@@ -188,6 +188,54 @@ class TestEarlyStop:
         )
         assert early_stop_by_validation(trace, val).index == 3
 
+    def test_losses_are_validation_values_at_each_iterate(self):
+        config = low_snr_config(2, 2)
+        train, val = split_train_validation(generate_dataset(config, 200, seed=22))
+        trace = run_bfgs(
+            train, np.ones(2), None, SolverConfig(max_iters=8), np.zeros(2)
+        )
+        choice = early_stop_by_validation(trace, val)
+        assert choice.losses.shape == (len(trace),)
+        for k, theta in enumerate(trace.iterates):
+            assert choice.losses[k] == val.value(theta)
+        assert choice.val_loss == choice.losses[choice.index] == np.min(choice.losses)
+
+    @staticmethod
+    def scalar_trace(iterates):
+        from qnbench.solvers import SolverTrace
+
+        iterates = np.array(iterates)
+        return SolverTrace(
+            iterates=iterates,
+            errors=np.abs(iterates),
+            grad_norms=np.zeros(iterates.size),
+            losses=np.zeros(iterates.size),
+            stop_reason="diverged",
+        )
+
+    def test_non_finite_iterates_and_values_never_win(self):
+        from qnbench.objectives import EmpiricalGlmLoss
+
+        val = EmpiricalGlmLoss(np.ones(10), np.ones(10), 2)
+        # 1e200 is a finite iterate whose validation loss overflows to inf
+        trace = self.scalar_trace([3.0, np.nan, 1e200, np.inf, 2.0])
+        choice = early_stop_by_validation(trace, val)
+        assert choice.losses[0] == val.value(np.array([3.0]))
+        assert np.isnan(choice.losses[1]) and np.isnan(choice.losses[3])
+        assert choice.losses[2] == np.inf
+        assert choice.index == 4
+        assert choice.val_loss == val.value(np.array([2.0]))
+
+    def test_no_finite_loss_leaves_val_loss_infinite(self):
+        from qnbench.objectives import EmpiricalGlmLoss
+
+        val = EmpiricalGlmLoss(np.ones(10), np.ones(10), 2)
+        choice = early_stop_by_validation(self.scalar_trace([np.nan, 1e200, -np.inf]), val)
+        assert choice.index == 0
+        assert choice.val_loss == np.inf
+        assert np.isnan(choice.losses[0]) and np.isnan(choice.losses[2])
+        assert choice.losses[1] == np.inf
+
     def test_selected_error_close_to_best(self):
         # median over 40 seeds: validation pick within 3x of the trace best
         config = low_snr_config(4, 2)
@@ -221,9 +269,10 @@ class TestSlopeFit:
 class TestRadiusSweep:
     def sweep(self, **kwargs):
         config = low_snr_config(2, 2)
-        solver = SolverConfig(method="bfgs", max_iters=40)
+        solver = SolverConfig(max_iters=40)
         defaults = dict(
-            config=config, solver=solver, n_grid=[50, 100, 200], trials=5, seed0=30
+            config=config, solver=solver, n_grid=[50, 100, 200], trials=5, seed0=30,
+            method="bfgs",
         )
         defaults.update(kwargs)
         return run_radius_sweep(**defaults)
@@ -251,10 +300,22 @@ class TestRadiusSweep:
         with pytest.raises(ValueError):
             self.sweep(n_grid=[100, 50])
 
+    def test_unknown_method_rejected_before_any_dataset(self, monkeypatch):
+        import qnbench.glmsim as glmsim
+
+        def no_data(*args):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(glmsim, "generate_dataset", no_data)
+        with pytest.raises(ValueError, match="method"):
+            self.sweep(method="sgd")
+
     def test_scalar_solver_used_in_one_dimension(self):
         config = low_snr_config(1, 2)
-        solver = SolverConfig(method="bfgs", max_iters=30)
-        result = run_radius_sweep(config, solver, [50, 100, 200], 3, seed0=31)
+        solver = SolverConfig(max_iters=30)
+        result = run_radius_sweep(
+            config, solver, [50, 100, 200], 3, seed0=31, method="bfgs"
+        )
         assert len(result.rows) == 9
 
     def test_noiseless_identifiability_up_to_sign(self):
@@ -276,21 +337,23 @@ class TestRadiusSweep:
         n_grid = [100, 316, 1000]
         low = run_radius_sweep(
             low_snr_config(4, 2),
-            SolverConfig(method="bfgs", max_iters=60),
-            n_grid, trials=15, seed0=35, init_radius=2.0,
+            SolverConfig(max_iters=60),
+            n_grid, trials=15, seed0=35, init_radius=2.0, method="bfgs",
         )
         high = run_radius_sweep(
             GlmModelConfig(4, 2, rng.unit_vector(4, 36), cov=np.ones(4), regime="high-snr"),
-            SolverConfig(method="bfgs", max_iters=60),
-            n_grid, trials=15, seed0=35, init_radius=1.0,
+            SolverConfig(max_iters=60),
+            n_grid, trials=15, seed0=35, init_radius=1.0, method="bfgs",
         )
         assert low.fitted_slope > high.fitted_slope
 
     def test_other_methods_dispatch(self):
         config = low_snr_config(2, 2)
         for method in ("gd-constant", "gd-polyak", "newton"):
-            solver = SolverConfig(method=method, step_size=0.1, max_iters=20)
-            result = run_radius_sweep(config, solver, [50, 100, 150], 2, seed0=37)
+            solver = SolverConfig(step_size=0.1, max_iters=20)
+            result = run_radius_sweep(
+                config, solver, [50, 100, 150], 2, seed0=37, method=method
+            )
             assert len(result.rows) == 6
 
     def test_unknown_method_rejected(self):

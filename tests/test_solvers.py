@@ -92,11 +92,6 @@ class TestGdConstant:
         with pytest.raises(ValueError):
             run_gd_constant(scalar_quartic(), np.array([1.0]), SolverConfig(step_size=0.0))
 
-    def test_rejects_mismatched_method_tag(self):
-        config = SolverConfig(method="newton")
-        with pytest.raises(ValueError):
-            run_gd_constant(scalar_quartic(), np.array([1.0]), config)
-
 
 class TestGdPolyak:
     def test_one_step_arithmetic(self):
