@@ -230,7 +230,8 @@ class TestEarlyStop:
         from qnbench.objectives import EmpiricalGlmLoss
 
         val = EmpiricalGlmLoss(np.ones(10), np.ones(10), 2)
-        choice = early_stop_by_validation(self.scalar_trace([np.nan, 1e200, -np.inf]), val)
+        trace = self.scalar_trace([np.nan, 1e200, -np.inf])
+        choice = early_stop_by_validation(trace, val)
         assert choice.index == 0
         assert choice.val_loss == np.inf
         assert np.isnan(choice.losses[0]) and np.isnan(choice.losses[2])

@@ -406,7 +406,9 @@ class TestStopPrecedence:
     @pytest.mark.parametrize("seed,max_iters", [(73, 3), (76, 10_000)])
     def test_bfgs_diagnostics_one_per_update(self, seed, max_iters):
         obj = zero_opt_instance(3, 4, seed=seed)
-        trace = run_bfgs(obj, rng.normals(seed + 1, 3), None, SolverConfig(max_iters=max_iters))
+        trace = run_bfgs(
+            obj, rng.normals(seed + 1, 3), None, SolverConfig(max_iters=max_iters)
+        )
         # a breakdown records its iterate but makes no update
         updates = len(trace) - (2 if trace.stop_reason == STOP_SECANT_BREAKDOWN else 1)
         for key in ("secant_residual", "h_asymmetry"):
