@@ -11,7 +11,8 @@ Subcommands:
 * ``radius``      -- minimum-error sweep over sample sizes with the fitted
                      log-log slope (the empirical statistical radius).
 * ``svg``         -- render columns of a CSV as a standalone line chart.
-* ``selfcheck``   -- run the fast invariant suite and print pass/fail.
+* ``selfcheck``   -- run the acceptance checks of ``qnbench.acceptance``
+                     and print pass/fail.
 
 Every CSV is written together with a ``<out>.manifest`` key=value file
 recording the resolved parameters, so a run can be reproduced exactly.
@@ -38,20 +39,8 @@ from .glmsim import (
     run_radius_sweep,
     split_train_validation,
 )
-from .objectives import (
-    AssumptionViolationError,
-    central_difference_gradient,
-    central_difference_jacobian,
-    random_pow_norm_objective,
-)
-from .rates import (
-    contraction_gap_table,
-    contraction_map_derivative_bound,
-    contraction_sequence,
-    envelope_holds,
-    fixed_point,
-    newton_factor,
-)
+from .objectives import AssumptionViolationError, random_pow_norm_objective
+from .rates import contraction_gap_table, contraction_sequence
 from .solvers import (
     STOPS_INTERRUPTED,
     SolverConfig,
@@ -59,7 +48,6 @@ from .solvers import (
     run_gd_constant,
     run_gd_polyak,
     run_newton,
-    run_scalar_bfgs,
 )
 from .svg import line_chart
 
@@ -485,122 +473,11 @@ def cmd_svg(params) -> int:
 
 # -------------------------------------------------------------- selfcheck
 
-def _selfcheck_suite():
-    checks = []
-
-    def check(name, fn):
-        checks.append((name, fn))
-
-    def fixed_point_table():
-        points = {4: 0.755, 6: 0.857, 10: 0.922, 20: 0.963}
-        newtons = {4: 0.667, 6: 0.800, 10: 0.889, 20: 0.947}
-        return all(round(fixed_point(q), 3) == v for q, v in points.items()) and all(
-            round(newton_factor(q), 3) == v for q, v in newtons.items()
-        )
-
-    check("fixed-point and Newton-factor table (3 decimals)", fixed_point_table)
-
-    check(
-        "geometric envelope of the factor recursion (k <= 200)",
-        lambda: all(envelope_holds(q, 200) for q in (4, 16, 64)),
-    )
-
-    check(
-        "factor-map derivative bounded by 1/2",
-        lambda: all(
-            contraction_map_derivative_bound(q, 10_000).holds for q in (4, 25, 100)
-        ),
-    )
-
-    def closed_form_inverse():
-        for seed in range(5):
-            obj = random_pow_norm_objective(5, 10, 4, seed=100 + seed)
-            theta = obj.theta_opt + rng.normals(rng.derive_seed(seed, 3), 5)
-            product = obj.hessian_inverse(theta) @ obj.hessian(theta)
-            if np.max(np.abs(product - np.eye(5))) > 1e-8:
-                return False
-        return True
-
-    check("closed-form Hessian inverse times Hessian equals identity", closed_form_inverse)
-
-    def difference_oracles():
-        obj = random_pow_norm_objective(4, 8, 6, seed=7)
-        theta = obj.theta_opt + 0.5 * rng.normals(11, 4)
-        grad = obj.gradient(theta)
-        fd = central_difference_gradient(obj.value, theta)
-        if np.max(np.abs(fd - grad)) > 1e-5 * max(1.0, np.max(np.abs(grad))):
-            return False
-        hess = obj.hessian(theta)
-        fd_hess = central_difference_jacobian(obj.gradient, theta)
-        return np.max(np.abs(fd_hess - hess)) <= 1e-4 * max(1.0, np.max(np.abs(hess)))
-
-    check("derivatives match central differences", difference_oracles)
-
-    def bfgs_contraction():
-        obj = random_pow_norm_objective(10, 20, 4, seed=21, theta_opt=np.zeros(10))
-        theta0 = rng.normals(23, 10)
-        trace = run_bfgs(obj, theta0, None, SolverConfig(max_iters=20))
-        ratios = trace.error_ratios()
-        expected = contraction_sequence(4, len(ratios) - 1).factors
-        ok = np.all(
-            np.abs(ratios - expected[: len(ratios)]) <= 1e-6 * expected[: len(ratios)]
-        )
-        e0 = trace.iterates[0]
-        cosines = [
-            float(e @ e0 / (np.linalg.norm(e) * np.linalg.norm(e0)))
-            for e in trace.iterates
-        ]
-        ok = ok and all(abs(c - 1.0) <= 1e-8 for c in cosines)
-        ok = ok and np.all(trace.step_info["secant_residual"] <= 1e-8)
-        return ok and np.all(trace.step_info["h_asymmetry"] <= 1e-10)
-
-    check("unit-step BFGS follows the factor recursion exactly", bfgs_contraction)
-
-    def newton_ratio():
-        obj = random_pow_norm_objective(6, 12, 4, seed=31, theta_opt=np.zeros(6))
-        trace = run_newton(obj, rng.normals(33, 6), SolverConfig(max_iters=80))
-        expected = newton_factor(4)
-        for k in range(1, len(trace)):
-            if trace.errors[k - 1] < 1e-12:
-                break
-            if abs(trace.errors[k] / trace.errors[k - 1] - expected) > 1e-8 * expected:
-                return False
-        return True
-
-    check("unit-step Newton contracts at (q-2)/(q-1)", newton_ratio)
-
-    def scalar_floor():
-        from .glmsim import low_snr_config, generate_dataset, scalar_moment_ratio
-
-        config = low_snr_config(1, 2)
-        for seed in range(3):
-            loss = generate_dataset(config, 10_000, 500 + seed)
-            trace = run_scalar_bfgs(loss, 0.9, 1.0, SolverConfig(max_iters=60))
-            cutoff = 2.0 * abs(scalar_moment_ratio(loss)) ** 0.5
-            seq = trace.iterates
-            for k in range(1, len(seq) - 1):
-                if seq[k] <= cutoff or seq[k + 1] <= cutoff:
-                    break
-                if not (0.0 < seq[k + 1] < seq[k] and seq[k + 1] >= (2 / 3) * seq[k]):
-                    return False
-        return True
-
-    check("scalar secant run obeys monotone decrease and the p/(p+1) floor", scalar_floor)
-
-    def determinism():
-        config = low_snr_config(2, 2)
-        a = generate_dataset(config, 64, 9)
-        b = generate_dataset(config, 64, 9)
-        return np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-
-    check("identical seeds reproduce identical datasets", determinism)
-
-    return checks
-
-
 def cmd_selfcheck(_params) -> int:
+    from . import acceptance  # only this command needs it; keeps import time flat
+
     failures = 0
-    for name, fn in _selfcheck_suite():
+    for _number, name, fn in acceptance.CHECKS:
         try:
             ok = bool(fn())
         except Exception as err:  # a crashed check is a failed check

@@ -120,7 +120,8 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     ``step(theta, loss, grad)`` returns the next iterate, or ``None`` when
     its secant denominator has broken down.  After each record,
     ``after(theta, grad, theta_next, grad_next)`` (when given) may return
-    a stop reason; the new iterate is recorded either way.  A run that
+    a stop reason; the new iterate is recorded either way, and a stop
+    there on a non-finite record is diverged.  A run that
     uses all ``max_iters`` steps and ends on a diverged record is
     labelled diverged.  ``step_info`` maps names to lists that the
     callbacks fill, one entry per step or update.
@@ -141,15 +142,16 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
         losses[count] = loss
         count += 1
 
+    def finite_record():
+        return (math.isfinite(losses[count - 1]) and math.isfinite(grad_norms[count - 1])
+                and math.isfinite(errors[count - 1]))
+
     def limit_stop():
-        loss, grad_norm = losses[count - 1], grad_norms[count - 1]
-        error = errors[count - 1]
-        if not (math.isfinite(loss) and math.isfinite(grad_norm)
-                and math.isfinite(error)):
+        if not finite_record():
             return STOP_DIVERGED
-        if grad_norm <= config.grad_tol:
+        if grad_norms[count - 1] <= config.grad_tol:
             return STOP_GRAD_TOL
-        if error > config.divergence_cap:
+        if errors[count - 1] > config.divergence_cap:
             return STOP_DIVERGED
         return None
 
@@ -170,6 +172,8 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
             record(theta_next, loss, grad_next)
             stop = after(theta, grad, theta_next, grad_next) if after else None
             if stop is not None:
+                if not finite_record():
+                    stop = STOP_DIVERGED
                 break
             theta, grad = theta_next, grad_next
         else:
@@ -316,7 +320,8 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     ``h0`` defaults to the exact inverse Hessian at ``theta0``, the choice
     under which the contraction-factor theory is exact.  Curvature at or
     below ``CURVATURE_FLOOR * ||s|| ||u||`` stops the run with a recorded
-    secant breakdown.
+    secant breakdown, or as diverged when the new iterate's loss, gradient
+    norm or error is non-finite.
     """
     config = config or SolverConfig()
     if h0 is None:

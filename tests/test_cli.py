@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from qnbench import acceptance
 from qnbench.cli import main
 
 
@@ -309,7 +310,23 @@ class TestSelfcheck:
         assert run_cli("selfcheck") == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        assert out.count("PASS") == len(acceptance.CHECKS)
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        checks = [(1, "holds", lambda: True), (2, "does not hold", lambda: False)]
+        monkeypatch.setattr(acceptance, "CHECKS", checks)
+        assert run_cli("selfcheck") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["PASS — holds", "FAIL — does not hold", "selfcheck: 1 failure(s)"]
+
+    def test_raising_check_is_a_failure(self, capsys, monkeypatch):
+        def crash():
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(acceptance, "CHECKS", [(1, "crashes", crash)])
+        assert run_cli("selfcheck") == 1
+        out = capsys.readouterr().out
+        assert "FAIL — crashes (ZeroDivisionError: division by zero)" in out
 
 
 class TestAssumptionExitCode:

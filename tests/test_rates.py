@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from qnbench.rates import (
+    _highprec_factors,
     contraction_gap_table,
     contraction_map,
     contraction_map_derivative_bound,
@@ -158,6 +160,15 @@ class TestHighPrecisionTable:
         assert gap == pytest.approx(abs(factor - r_star), rel=1e-12)
         for k, factor, r_star, gap, envelope in rows:
             assert gap <= envelope
+
+    @pytest.mark.parametrize("q", [4, 6, 10, 20, 64, 100])
+    @pytest.mark.parametrize("k_max", [0, 200, 500])
+    def test_polished_fixed_point_residual(self, q, k_max):
+        _, r = _highprec_factors(q, k_max)
+        digits = 40 + int(0.302 * k_max) + 1  # the working precision
+        with mpmath.workdps(digits + 20):
+            residual = abs(r ** (q - 1) + r ** (q - 2) - 1)
+            assert residual < mpmath.mpf(10) ** -(digits - 5)
 
     def test_single_row_base_case(self):
         rows = contraction_gap_table(4, 0)

@@ -14,6 +14,7 @@ from qnbench.solvers import (
     STOP_GRAD_TOL,
     STOP_MAX_ITERS,
     STOP_SECANT_BREAKDOWN,
+    STOPS_INTERRUPTED,
     SolverConfig,
     bfgs_update,
     gd_step_grid_search,
@@ -234,7 +235,10 @@ class TestBfgs:
     def test_breakdown_is_recorded_not_raised(self):
         obj = zero_opt_instance(3, 4, seed=76)
         trace = run_bfgs(obj, rng.normals(77, 3), None, SolverConfig(max_iters=10_000))
-        assert trace.stop_reason in (STOP_SECANT_BREAKDOWN, STOP_GRAD_TOL)
+        # at the rounding floor the curvature check fails on a NaN iterate:
+        # recorded, and labelled diverged, not secant-breakdown
+        assert np.isnan(trace.iterates[-1]).any()
+        assert trace.stop_reason == STOP_DIVERGED
 
     def test_rejects_asymmetric_seed_matrix(self):
         obj = zero_opt_instance(3, 4, seed=78)
@@ -396,6 +400,19 @@ class TestStopPrecedence:
         assert not np.isfinite(trace.losses[-1])
         assert trace.stop_reason == STOP_DIVERGED
 
+    def test_bfgs_overflowed_step_is_diverged_not_breakdown(self):
+        # the step lands at theta = -4e300: loss and gradient overflow, so the
+        # curvature s'u is non-finite too; gd-constant reaches the same record
+        obj = PowNormObjective([[1.0]], [0.0], 4)
+        theta0 = np.array([1.0])
+        bfgs = run_bfgs(obj, theta0, np.array([[1e300]]), SolverConfig(max_iters=5))
+        gd = run_gd_constant(obj, theta0, SolverConfig(step_size=1e300, max_iters=5))
+        for trace in (bfgs, gd):
+            assert len(trace) == 2
+            assert trace.iterates[1] == pytest.approx(-4e300)
+            assert trace.losses[1] == np.inf
+            assert trace.stop_reason == STOP_DIVERGED
+
     @pytest.mark.parametrize("f_star,max_iters", [(0.0, 25), (1.0, 10)])
     def test_polyak_step_sizes_one_per_step(self, f_star, max_iters):
         trace = run_gd_polyak(
@@ -409,8 +426,10 @@ class TestStopPrecedence:
         trace = run_bfgs(
             obj, rng.normals(seed + 1, 3), None, SolverConfig(max_iters=max_iters)
         )
-        # a breakdown records its iterate but makes no update
-        updates = len(trace) - (2 if trace.stop_reason == STOP_SECANT_BREAKDOWN else 1)
+        # seed 76 stops at a curvature breakdown on a NaN record, labelled
+        # diverged: the after-record check records its iterate but makes no
+        # update
+        updates = len(trace) - (2 if trace.stop_reason in STOPS_INTERRUPTED else 1)
         for key in ("secant_residual", "h_asymmetry"):
             assert len(trace.step_info.get(key, ())) == updates
 
