@@ -141,6 +141,26 @@ class PowNormObjective:
             q * (q - 1) * nr ** q
         )
 
+    def newton_direction(self, theta) -> np.ndarray:
+        """Newton direction ``hessian_inverse(theta) @ gradient(theta)`` in
+        cancelled form.
+
+        Equals ``(A'A)^{-1} A'r - (q-2)/(q-1) d (d'A'r) / ||r||^2`` with
+        ``d = theta - theta_opt``: the powers of ``||r||`` cancel, and both
+        factors of the inner product are divided by ``||r||`` before they
+        meet, so the direction stays finite wherever ``theta`` is.
+        """
+        q = self.q
+        theta = _as_vector(theta, self.d)
+        r = self.a @ theta - self.b
+        nr = float(np.linalg.norm(r))
+        if nr == 0.0:
+            raise SingularHessianError("Hessian is singular at the optimum")
+        atr = self.a.T @ r
+        dev = theta - self.theta_opt
+        coeff = (q - 2) / (q - 1) * float((dev / nr) @ (atr / nr))
+        return self._gram_inv @ atr - coeff * dev
+
 
 class EmpiricalGlmLoss:
     """Sample least-square loss (1/n) sum_i (y_i - (x_i' theta)**p)**2.

@@ -41,6 +41,11 @@ SCALAR_BOOTSTRAP_STEP = 1e-3
 
 NEWTON_RIDGE = 1e-12
 
+# Rows per panel of the in-place BFGS update and side of the tiles of its
+# symmetry diagnostic; the update's two work panels take 2 * 64 * d
+# doubles, 1 MB at d = 1000.
+BFGS_PANEL_ROWS = 64
+
 
 METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs", "scalar-bfgs")
 
@@ -264,17 +269,17 @@ def _solve_symmetric(matrix, rhs, ridge):
 
 
 def _newton_direction(objective, theta, grad):
-    if hasattr(objective, "hessian_inverse"):
-        return objective.hessian_inverse(theta) @ grad
+    if hasattr(objective, "newton_direction"):
+        return objective.newton_direction(theta)
     return _solve_symmetric(objective.hessian(theta), grad, NEWTON_RIDGE)
 
 
 def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """Newton's method with unit step.
 
-    Uses the closed-form Hessian inverse when the objective provides one
-    (the pow-norm family), otherwise a dense symmetric factorization of the
-    exact Hessian with a small ridge retry on failure.
+    Uses the objective's own ``newton_direction`` when it provides one (the
+    pow-norm family's cancelled closed form), otherwise a dense symmetric
+    factorization of the exact Hessian with a small ridge retry on failure.
     """
     config = config or SolverConfig()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
@@ -286,11 +291,19 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
 
 
 def bfgs_update(h, s, u) -> np.ndarray:
-    """Double-projection rank-two update of the inverse-Hessian approximation.
+    """Double-projection rank-two update of the inverse-Hessian approximation,
+    in place.
 
-    Returns ``(I - s u'/(s'u)) H (I - u s'/(s'u)) + s s'/(s'u)``, expanded
-    so the result is symmetric to the last bit and satisfies the secant
-    condition ``H_new u = s`` exactly in real arithmetic.
+    Overwrites ``h`` with ``(I - s u'/(s'u)) H (I - u s'/(s'u)) + s s'/(s'u)``
+    and returns it.  The expanded form ``H - rho (s w' + w s') + coeff s s'``
+    (``w = H u``) is applied over panels of ``BFGS_PANEL_ROWS`` rows, so the
+    update allocates no d-by-d temporary; every entry takes the same
+    operations in the same order as the whole-matrix expression, so the
+    result is the same to the bit, symmetric to the last bit, and satisfies
+    the secant condition ``H_new u = s`` exactly in real arithmetic.  Raises
+    ``ZeroDivisionError`` at zero curvature ``s'u`` and ``OverflowError``
+    when ``1/s'u`` or the ``s s'`` coefficient is not finite; ``h`` is left
+    untouched in both cases.
     """
     curvature = float(s @ u)
     if curvature == 0.0:
@@ -298,7 +311,42 @@ def bfgs_update(h, s, u) -> np.ndarray:
     rho = 1.0 / curvature
     w = h @ u
     coeff = rho + rho * rho * float(u @ w)
-    return h - rho * (np.outer(s, w) + np.outer(w, s)) + coeff * np.outer(s, s)
+    if not (math.isfinite(rho) and math.isfinite(coeff)):
+        raise OverflowError(f"update coefficients overflow at s'u = {curvature:.3e}")
+    size = len(s)
+    s_col, w_col = s[:, None], w[:, None]
+    cross = np.empty((min(BFGS_PANEL_ROWS, size), size))
+    other = np.empty_like(cross)
+    for start in range(0, size, BFGS_PANEL_ROWS):
+        stop = min(start + BFGS_PANEL_ROWS, size)
+        if stop - start < len(cross):  # the last, shorter panel
+            cross, other = cross[: stop - start], other[: stop - start]
+        np.multiply(s_col[start:stop], w, out=cross)
+        np.multiply(w_col[start:stop], s, out=other)
+        cross += other
+        cross *= rho
+        panel = h[start:stop]
+        panel -= cross
+        np.multiply(s_col[start:stop], s, out=cross)
+        cross *= coeff
+        panel += cross
+    return h
+
+
+def _max_asymmetry(h) -> float:
+    """``max |h - h'|`` of a square matrix (NaN if any entry pair gives NaN),
+    taken over pairs of ``BFGS_PANEL_ROWS``-square tiles on and above the
+    diagonal, so that no d-by-d temporary is made."""
+    tile = BFGS_PANEL_ROWS
+    worst = 0.0
+    for i in range(0, len(h), tile):
+        for j in range(i, len(h), tile):
+            upper, lower = h[i : i + tile, j : j + tile], h[j : j + tile, i : i + tile]
+            top = float(np.abs(upper - lower.T).max())
+            if top != top:
+                return top
+            worst = max(worst, top)
+    return worst
 
 
 def initial_inverse_hessian(objective, theta, ridge: float = NEWTON_RIDGE) -> np.ndarray:
@@ -318,10 +366,11 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     """Matrix BFGS with unit step.
 
     ``h0`` defaults to the exact inverse Hessian at ``theta0``, the choice
-    under which the contraction-factor theory is exact.  Curvature at or
-    below ``CURVATURE_FLOOR * ||s|| ||u||`` stops the run with a recorded
-    secant breakdown, or as diverged when the new iterate's loss, gradient
-    norm or error is non-finite.
+    under which the contraction-factor theory is exact; the run updates its
+    own copy in place.  Curvature at or below ``CURVATURE_FLOOR * ||s||
+    ||u||``, or so small that the update's coefficients overflow, stops the
+    run with a recorded secant breakdown, or as diverged when the new
+    iterate's loss, gradient norm or error is non-finite.
     """
     config = config or SolverConfig()
     if h0 is None:
@@ -339,7 +388,6 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
         return theta - h @ grad
 
     def after(theta, grad, theta_next, grad_next):
-        nonlocal h
         s = theta_next - theta
         u = grad_next - grad
         curvature = float(s @ u)
@@ -347,9 +395,12 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
             np.linalg.norm(s) * np.linalg.norm(u)
         ):
             return STOP_SECANT_BREAKDOWN
-        h = bfgs_update(h, s, u)
+        try:
+            bfgs_update(h, s, u)
+        except OverflowError:
+            return STOP_SECANT_BREAKDOWN
         residuals.append(float(np.linalg.norm(h @ u - s) / np.linalg.norm(s)))
-        asymmetries.append(float(np.max(np.abs(h - h.T))))
+        asymmetries.append(_max_asymmetry(h))
         return None
 
     return _iterate(

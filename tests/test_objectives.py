@@ -115,6 +115,39 @@ class TestHessianInverse:
             obj.hessian_inverse(obj.theta_opt)
 
 
+class TestNewtonDirection:
+    @pytest.mark.parametrize("q", [4, 6, 10])
+    def test_matches_inverse_hessian_times_gradient(self, q):
+        for d in range(2, 7):
+            for trial in range(4):
+                seed = rng.derive_seed(90, q, d, trial)
+                obj = random_pow_norm_objective(d, 2 * d, q, seed=seed)
+                theta = obj.theta_opt + rng.normals(rng.derive_seed(seed, 1), d)
+                expected = obj.hessian_inverse(theta) @ obj.gradient(theta)
+                direction = obj.newton_direction(theta)
+                scale = np.linalg.norm(expected)
+                assert np.linalg.norm(direction - expected) <= 1e-10 * scale
+
+    def test_finite_where_closed_form_inverse_is_not(self):
+        # ||theta - theta_opt|| ~ 1e-40: ||r||**8 is subnormal and ||r||**10
+        # underflows, but the direction is exactly dev / (q - 1) in real
+        # arithmetic
+        q = 10
+        obj = random_pow_norm_objective(4, 8, q, seed=91, theta_opt=np.zeros(4))
+        theta = 1e-40 * rng.unit_vector(4, 92)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(obj.hessian_inverse(theta)).all()
+        direction = obj.newton_direction(theta)
+        assert np.isfinite(direction).all()
+        expected = theta / (q - 1)
+        assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_singular_at_solution(self):
+        obj = random_pow_norm_objective(3, 6, 4, seed=19)
+        with pytest.raises(SingularHessianError):
+            obj.newton_direction(obj.theta_opt)
+
+
 class TestPowNormConstruction:
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):

@@ -170,6 +170,21 @@ class TestHighPrecisionTable:
             residual = abs(r ** (q - 1) + r ** (q - 2) - 1)
             assert residual < mpmath.mpf(10) ** -(digits - 5)
 
+    def test_long_table_resolves_fast_decaying_gaps(self):
+        # at large q the gap decays by ~0.413 digits per step, faster than
+        # the (1/2)**k envelope; a 1500-digit recursion is the reference
+        q, k_max = 100, 400
+        rows = contraction_gap_table(q, k_max)
+        with mpmath.workdps(1500):
+            r_star = mpmath.findroot(lambda r: r ** (q - 1) + r ** (q - 2) - 1, 0.993)
+            r = mpmath.mpf(q - 2) / (q - 1)
+            reference = [abs(r - r_star)]
+            for _ in range(k_max):
+                r = (1 - r ** (q - 2)) / (1 - r ** (q - 1))
+                reference.append(abs(r - r_star))
+            for k in (347, 360, 400):
+                assert rows[k][3] == pytest.approx(float(reference[k]), rel=1e-12, abs=0)
+
     def test_single_row_base_case(self):
         rows = contraction_gap_table(4, 0)
         assert len(rows) == 1

@@ -23,6 +23,7 @@ from qnbench.solvers import (
     run_gd_polyak,
     run_newton,
     run_scalar_bfgs,
+    _max_asymmetry,
 )
 
 
@@ -235,10 +236,10 @@ class TestBfgs:
     def test_breakdown_is_recorded_not_raised(self):
         obj = zero_opt_instance(3, 4, seed=76)
         trace = run_bfgs(obj, rng.normals(77, 3), None, SolverConfig(max_iters=10_000))
-        # at the rounding floor the curvature check fails on a NaN iterate:
-        # recorded, and labelled diverged, not secant-breakdown
-        assert np.isnan(trace.iterates[-1]).any()
-        assert trace.stop_reason == STOP_DIVERGED
+        # at the rounding floor the update's coefficients would overflow:
+        # the run stops there as a breakdown, on a finite iterate
+        assert np.isfinite(trace.iterates).all()
+        assert trace.stop_reason == STOP_SECANT_BREAKDOWN
 
     def test_rejects_asymmetric_seed_matrix(self):
         obj = zero_opt_instance(3, 4, seed=78)
@@ -247,7 +248,43 @@ class TestBfgs:
             run_bfgs(obj, np.ones(3), h0, SolverConfig())
 
 
+def out_of_place_update(h, s, u):
+    """The whole-matrix form of the update, as ``bfgs_update`` computed it
+    before it worked in place: the oracle for its bits."""
+    rho = 1.0 / float(s @ u)
+    w = h @ u
+    coeff = rho + rho * rho * float(u @ w)
+    return h - rho * (np.outer(s, w) + np.outer(w, s)) + coeff * np.outer(s, s)
+
+
 class TestBfgsUpdate:
+    @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 200])
+    def test_in_place_matches_out_of_place_to_the_bit(self, d):
+        for seed in range(3):
+            a = rng.normals(rng.derive_seed(600, d, seed), d * d).reshape(d, d)
+            h = a @ a.T + np.eye(d)
+            s = rng.normals(rng.derive_seed(601, d, seed), d)
+            u = s + 0.1 * rng.normals(rng.derive_seed(602, d, seed), d)
+            expected = out_of_place_update(h, s, u)
+            assert bfgs_update(h, s, u) is h
+            assert np.array_equal(h, expected)
+            assert np.array_equal(h, h.T)
+
+    def test_overflowing_coefficients_leave_h_untouched(self):
+        # s'u = 1e-160: 1/s'u is finite, its square is not
+        h = np.eye(2)
+        s, u = np.array([1e-80, 0.0]), np.array([1e-80, 0.0])
+        with pytest.raises(OverflowError):
+            bfgs_update(h, s, u)
+        assert np.array_equal(h, np.eye(2))
+
+    @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 130, 200])
+    def test_tiled_asymmetry_is_exact(self, d):
+        h = rng.normals(rng.derive_seed(603, d), d * d).reshape(d, d)
+        assert _max_asymmetry(h) == np.max(np.abs(h - h.T))
+        h[d - 1, 0] = np.nan
+        assert np.isnan(_max_asymmetry(h))
+
     def test_secant_condition_exact(self):
         for seed in range(8):
             h = np.eye(4) + 0.1 * rng.normals(seed, 16).reshape(4, 4)
@@ -355,8 +392,9 @@ class TestScalarBfgs:
 
 class Cliff:
     """f = s * theta'theta / 2 with gradient s * theta, whose value is +inf
-    wherever ||theta|| > 2.  ``hessian_inverse`` is ``scale * I`` so that
-    Newton, like the other methods, can jump past the cliff in one step."""
+    wherever ||theta|| > 2.  ``hessian_inverse`` is ``scale * I``, and
+    ``newton_direction`` is ``scale`` times the gradient, so that Newton,
+    like the other methods, can jump past the cliff in one step."""
 
     def __init__(self, sign=1.0, scale=1.0):
         self.sign, self.scale = sign, scale
@@ -370,6 +408,9 @@ class Cliff:
 
     def hessian_inverse(self, theta):
         return self.scale * np.eye(theta.size)
+
+    def newton_direction(self, theta):
+        return self.scale * self.sign * theta
 
 
 class TestStopPrecedence:
@@ -413,6 +454,18 @@ class TestStopPrecedence:
             assert trace.losses[1] == np.inf
             assert trace.stop_reason == STOP_DIVERGED
 
+    def test_bfgs_overflowing_update_is_breakdown_on_finite_iterates(self):
+        # at the rounding floor s'u = 3.7e-155 still passes the relative
+        # curvature floor, but 1/s'u squared overflows: the update is not
+        # made, so no infinite H ever yields a NaN iterate
+        obj = random_pow_norm_objective(3, 6, 4, seed=76, theta_opt=np.zeros(3))
+        trace = run_bfgs(obj, rng.normals(77, 3), None, SolverConfig(max_iters=10_000))
+        assert trace.stop_reason == STOP_SECANT_BREAKDOWN
+        assert len(trace) == 581
+        for values in (trace.iterates, trace.losses, trace.grad_norms, trace.errors):
+            assert np.isfinite(values).all()
+        assert np.isfinite(trace.step_info["h_asymmetry"]).all()
+
     @pytest.mark.parametrize("f_star,max_iters", [(0.0, 25), (1.0, 10)])
     def test_polyak_step_sizes_one_per_step(self, f_star, max_iters):
         trace = run_gd_polyak(
@@ -426,9 +479,8 @@ class TestStopPrecedence:
         trace = run_bfgs(
             obj, rng.normals(seed + 1, 3), None, SolverConfig(max_iters=max_iters)
         )
-        # seed 76 stops at a curvature breakdown on a NaN record, labelled
-        # diverged: the after-record check records its iterate but makes no
-        # update
+        # seed 76 stops where the update's coefficients would overflow: the
+        # after-record check records its iterate but makes no update
         updates = len(trace) - (2 if trace.stop_reason in STOPS_INTERRUPTED else 1)
         for key in ("secant_residual", "h_asymmetry"):
             assert len(trace.step_info.get(key, ())) == updates
