@@ -18,7 +18,7 @@ from qnbench.glmsim import (
     run_glm_method,
     split_train_validation,
 )
-from qnbench.solvers import SolverConfig
+from qnbench.solvers import METHODS, SolverConfig
 
 
 def main():
@@ -30,8 +30,8 @@ def main():
     print(f"low-SNR phase retrieval: n={n}, d=4, 90/10 train/validation split")
     print(f"{'method':>12} {'best error':>12} {'at iter':>8} "
           f"{'early-stop error':>17} {'at iter':>8} {'stop':>18}")
-    for method in ("gd-constant", "gd-polyak", "newton", "bfgs"):
-        solver = SolverConfig(step_size=0.1, max_iters=2000)
+    solver = SolverConfig(step_size=0.1, max_iters=2000)
+    for method in METHODS:
         trace = run_glm_method(
             method, train, theta0, solver, config.theta_star, config.noise_var
         )

@@ -12,13 +12,7 @@ import numpy as np
 from qnbench import rng
 from qnbench.objectives import random_pow_norm_objective
 from qnbench.rates import contraction_sequence, newton_factor
-from qnbench.solvers import (
-    SolverConfig,
-    run_bfgs,
-    run_gd_constant,
-    run_gd_polyak,
-    run_newton,
-)
+from qnbench.solvers import METHODS, SolverConfig, run_method
 
 
 def main():
@@ -29,16 +23,11 @@ def main():
           f"{objective.condition_number:.2f}")
     print(f"starting error: {np.linalg.norm(theta0 - objective.theta_opt):.4f}\n")
 
-    runs = {
-        "gd-constant (step 1e-4)": run_gd_constant(
-            objective, theta0, SolverConfig(step_size=1e-4, max_iters=1000)
-        ),
-        "gd-polyak": run_gd_polyak(objective, theta0, 0.0, SolverConfig(max_iters=1000)),
-        "newton": run_newton(objective, theta0, SolverConfig(max_iters=1000)),
-        "bfgs": run_bfgs(objective, theta0, None, SolverConfig(max_iters=1000)),
-    }
+    config = SolverConfig(step_size=1e-4, max_iters=1000)
+    runs = {method: run_method(method, objective, theta0, config) for method in METHODS}
     print(f"{'method':>24} {'error@10':>12} {'error@40':>12} {'error@1000':>12} {'stop':>18}")
-    for name, trace in runs.items():
+    for method, trace in runs.items():
+        name = "gd-constant (step 1e-4)" if method == "gd-constant" else method
         def err(k):
             return f"{trace.errors[k]:.3e}" if k < len(trace) else "-"
         print(f"{name:>24} {err(10):>12} {err(40):>12} {err(1000):>12} "

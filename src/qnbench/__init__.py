@@ -34,15 +34,13 @@ from .rates import (
     scalar_secant_contraction_bound,
 )
 from .solvers import (
+    METHODS,
     SolverConfig,
     SolverTrace,
     bfgs_update,
     gd_step_grid_search,
     initial_inverse_hessian,
-    run_bfgs,
-    run_gd_constant,
-    run_gd_polyak,
-    run_newton,
+    run_method,
     run_scalar_bfgs,
 )
 from .glmsim import (

@@ -45,7 +45,7 @@ def bfgs_ratio_exactness():
     started = time.time()
     ok = True
     for obj, theta0 in theory_instances():
-        trace = solvers.run_bfgs(obj, theta0, None, SolverConfig(max_iters=20))
+        trace = solvers.run_method("bfgs", obj, theta0, SolverConfig(max_iters=20))
         ratios = trace.error_ratios()
         expected = rates.contraction_sequence(obj.q, 20).factors
         ok = ok and len(ratios) == 20
@@ -65,7 +65,7 @@ def newton_ratio_exactness():
     started = time.time()
     ok = True
     for obj, theta0 in theory_instances():
-        trace = solvers.run_newton(obj, theta0, SolverConfig(max_iters=300))
+        trace = solvers.run_method("newton", obj, theta0, SolverConfig(max_iters=300))
         expected = rates.newton_factor(obj.q)
         for k in range(1, len(trace)):
             if trace.errors[k - 1] < 1e-12:

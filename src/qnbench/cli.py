@@ -23,6 +23,8 @@ error, 3 I/O error, 4 assumption violation after retries.
 
 import argparse
 import csv
+import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,14 +43,7 @@ from .glmsim import (
 )
 from .objectives import AssumptionViolationError, random_pow_norm_objective
 from .rates import contraction_gap_table, contraction_sequence
-from .solvers import (
-    STOPS_INTERRUPTED,
-    SolverConfig,
-    run_bfgs,
-    run_gd_constant,
-    run_gd_polyak,
-    run_newton,
-)
+from .solvers import METHODS, STOPS_INTERRUPTED, SolverConfig, run_method
 from .svg import line_chart
 
 ENV_OUT_DIR = "QNBENCH_OUT_DIR"
@@ -65,8 +60,6 @@ POPULATION_PRESETS = {
     "d1000-q4": dict(m=2000, d=1000, q=4, step=1e-12),
     "d1000-q10": dict(m=2000, d=1000, q=10, step=1e-15),
 }
-
-EMPIRICAL_METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs")
 
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
@@ -93,7 +86,8 @@ def _cast(kind, text):
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
-def _parse_config_file(path: Path):
+def _parse_config_file(path: Path, names):
+    """key=value lines of ``path``; every key must be one of ``names``."""
     values = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
@@ -101,8 +95,10 @@ def _parse_config_file(path: Path):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in names:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -110,7 +106,8 @@ def _resolve(args, spec):
     """Merge flag values, config-file values, and defaults, in that order."""
     file_values = {}
     if getattr(args, "config", None):
-        file_values = _parse_config_file(Path(args.config))
+        names = [name for name, _kind, _default in spec]
+        file_values = _parse_config_file(Path(args.config), names)
     resolved = {}
     for name, kind, default in spec:
         flag = getattr(args, name.replace("-", "_"), None)
@@ -215,18 +212,9 @@ def cmd_population(params) -> int:
     # manifest rather than controlled
     objective = random_pow_norm_objective(d, m, q, seed, entry_std=1.0 / np.sqrt(m))
     theta0 = rng.normals(rng.derive_seed(seed, 2), d)
-    config = SolverConfig(max_iters=iters)
-
-    runs = {
-        "gd-constant": run_gd_constant(
-            objective,
-            theta0,
-            SolverConfig(step_size=params["step"], max_iters=iters),
-        ),
-        "gd-polyak": run_gd_polyak(objective, theta0, 0.0, config),
-        "newton": run_newton(objective, theta0, config),
-        "bfgs": run_bfgs(objective, theta0, None, config),
-    }
+    # the optimum value is exactly zero, run_method's default f_star
+    config = SolverConfig(step_size=params["step"], max_iters=iters)
+    runs = {method: run_method(method, objective, theta0, config) for method in METHODS}
 
     rows = []
     for method, trace in runs.items():
@@ -292,7 +280,10 @@ def _glm_config(regime, d, p, seed, cov="decaying"):
 def cmd_empirical(params) -> int:
     if params["n"] < 10:
         raise ValueError("need n >= 10")
+    if params["trials"] < 1:
+        raise ValueError("need at least one trial")
     config = _glm_config(params["regime"], params["d"], params["p"], params["seed"])
+    solver = SolverConfig(step_size=params["gd-step"], max_iters=params["iters"])
     rows = []
     interrupted = []  # runs ending in divergence or secant breakdown
     for trial in range(params["trials"]):
@@ -302,10 +293,7 @@ def cmd_empirical(params) -> int:
         theta0 = config.theta_star + rng.unit_vector(
             config.d, rng.derive_seed(data_seed, 2)
         )
-        for method in EMPIRICAL_METHODS:
-            solver = SolverConfig(
-                step_size=params["gd-step"], max_iters=params["iters"]
-            )
+        for method in METHODS:
             trace = run_glm_method(
                 method, train, theta0, solver, config.theta_star, config.noise_var
             )
@@ -408,7 +396,8 @@ SVG_SPEC = [
 
 def _read_numeric_csv(path, x_col, y_cols, group_col=""):
     """Parse columns into {series name: [(x, y, row_number)]}; the row
-    number (header = row 1) feeds error messages."""
+    number (header = row 1) feeds error messages.  A row with an empty or
+    non-finite cell in a plotted column is skipped."""
     series = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -426,12 +415,10 @@ def _read_numeric_csv(path, x_col, y_cols, group_col=""):
                     f"row {rownum}: expected {len(header)} cells, got {len(record)}"
                 )
             group = record[index[group_col]] if group_col else ""
-            skip = False
             values = {}
             for col in [x_col, *y_cols]:
                 cell = record[index[col]]
                 if cell == "":
-                    skip = True
                     break
                 try:
                     values[col] = float(cell)
@@ -439,13 +426,14 @@ def _read_numeric_csv(path, x_col, y_cols, group_col=""):
                     raise ValueError(
                         f"row {rownum}: cell {cell!r} in column {col!r} is not numeric"
                     ) from None
-            if skip:
-                continue
-            for col in y_cols:
-                name = f"{group}:{col}" if group else col
-                series.setdefault(name, []).append(
-                    (values[x_col], values[col], rownum)
-                )
+                if not math.isfinite(values[col]):
+                    break
+            else:
+                for col in y_cols:
+                    name = f"{group}:{col}" if group else col
+                    series.setdefault(name, []).append(
+                        (values[x_col], values[col], rownum)
+                    )
     return series
 
 
@@ -493,24 +481,12 @@ def cmd_selfcheck(_params) -> int:
 
 def _add_spec_flags(parser, spec):
     for name, kind, _default in spec:
-        flag = f"--{name}"
         if kind == "bool":
-            parser.add_argument(flag, dest=name.replace("-", "_"),
-                                action="store_const", const=True, default=None)
-        elif kind == "int":
-            parser.add_argument(flag, dest=name.replace("-", "_"), type=int,
-                                default=None)
-        elif kind == "float":
-            parser.add_argument(flag, dest=name.replace("-", "_"), type=float,
-                                default=None)
-        elif kind == "ints":
-            parser.add_argument(flag, dest=name.replace("-", "_"),
-                                type=lambda s: _cast("ints", s), default=None)
-        elif kind == "strs":
-            parser.add_argument(flag, dest=name.replace("-", "_"),
-                                type=lambda s: _cast("strs", s), default=None)
-        else:
-            parser.add_argument(flag, dest=name.replace("-", "_"), default=None)
+            parser.add_argument(f"--{name}", action="store_const", const=True)
+            continue
+        convert = functools.partial(_cast, kind)
+        convert.__name__ = kind  # argparse reports "invalid int value: 'x'"
+        parser.add_argument(f"--{name}", type=convert)
 
 
 COMMANDS = {

@@ -19,17 +19,7 @@ import numpy as np
 
 from . import rng
 from .objectives import EmpiricalGlmLoss
-from .solvers import (
-    METHODS,
-    STOPS_INTERRUPTED,
-    SolverConfig,
-    initial_inverse_hessian,
-    run_bfgs,
-    run_gd_constant,
-    run_gd_polyak,
-    run_newton,
-    run_scalar_bfgs,
-)
+from .solvers import METHODS, STOPS_INTERRUPTED, SolverConfig, run_method, run_scalar_bfgs
 
 REGIME_LOW_SNR = "low-snr"
 REGIME_HIGH_SNR = "high-snr"
@@ -41,6 +31,10 @@ _STREAM_INIT = 2
 # Fixed starting pair for one-dimensional secant runs: ordered, positive,
 # and well above any desk-scale statistical radius.
 SCALAR_START = (1.0, 0.999)
+
+# The methods ``run_glm_method`` accepts: the vector methods and, on
+# one-dimensional losses, the secant form.
+GLM_METHODS = (*METHODS, "scalar-bfgs")
 
 
 def default_covariance_diagonal(d: int) -> np.ndarray:
@@ -258,11 +252,12 @@ def run_glm_method(
     theta_ref,
     noise_var: float = 1.0,
 ):
-    """Dispatch one named method on an empirical loss.
+    """Run one of ``GLM_METHODS`` on an empirical loss.
 
     ``bfgs`` on a one-dimensional loss runs the secant form from the fixed
     ordered pair; the Polyak step uses the model noise variance as the
-    known optimal value (the population loss at the truth).
+    known optimal value (the population loss at the truth).  Every other
+    case goes to ``run_method``.
     """
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
     if method == "scalar-bfgs" and loss.d != 1:
@@ -276,20 +271,13 @@ def run_glm_method(
         return run_scalar_bfgs(
             loss, theta0_s, prev_s, config, theta_ref=float(theta_ref[0])
         )
-    if method == "bfgs":
-        h0 = initial_inverse_hessian(loss, theta0)
-        return run_bfgs(loss, theta0, h0, config, theta_ref)
-    if method == "gd-constant":
-        return run_gd_constant(loss, theta0, config, theta_ref)
+    f_star = 0.0
     if method == "gd-polyak":
         # the population loss at the truth equals the noise variance, the
         # best available stand-in for the unknown empirical optimum; small
         # samples can start below it, so clamp to keep steps non-negative
         f_star = min(noise_var, loss.value(np.atleast_1d(theta0)))
-        return run_gd_polyak(loss, theta0, f_star, config, theta_ref)
-    if method == "newton":
-        return run_newton(loss, theta0, config, theta_ref)
-    raise ValueError(f"unknown method {method!r}")
+    return run_method(method, loss, theta0, config, f_star, theta_ref)
 
 
 def run_radius_sweep(
@@ -319,8 +307,8 @@ def run_radius_sweep(
         raise ValueError("n_grid must be sorted ascending")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method not in GLM_METHODS:
+        raise ValueError(f"method must be one of {GLM_METHODS}, got {method!r}")
     rows = []
     for i_n, n in enumerate(n_grid):
         for trial in range(trials):

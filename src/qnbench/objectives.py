@@ -70,8 +70,8 @@ class PowNormObjective:
 
     def __init__(self, a, theta_opt, q: int):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("a must be a 2-d matrix")
+        if a.ndim != 2 or 0 in a.shape:
+            raise ValueError("a must be a 2-d matrix with at least one row and column")
         if not (isinstance(q, (int, np.integer)) and q >= 4):
             raise ValueError(f"exponent q must be an integer >= 4, got {q!r}")
         self.a = a

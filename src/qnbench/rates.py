@@ -142,6 +142,8 @@ def _highprec_factors(q, k_max):
     from 15 correct digits, ten quadratic steps pass 10**4.
     """
     q = _check_q(q)
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
     digits = 40 + int(0.42 * k_max) + 1
     while True:
         with mpmath.workdps(digits):

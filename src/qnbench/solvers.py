@@ -47,7 +47,8 @@ NEWTON_RIDGE = 1e-12
 BFGS_PANEL_ROWS = 64
 
 
-METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs", "scalar-bfgs")
+# The vector methods ``run_method`` accepts, in report order.
+METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs")
 
 
 @dataclass(frozen=True)
@@ -407,6 +408,26 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
         objective.value_and_gradient, [start], theta_ref, config, step, after=after,
         step_info={"secant_residual": residuals, "h_asymmetry": asymmetries},
     )
+
+
+def run_method(
+    method, objective, theta0, config, f_star=0.0, theta_ref=None
+) -> SolverTrace:
+    """Run the vector method named ``method``, one of ``METHODS``.
+
+    ``f_star`` is read by gd-polyak only, and bfgs starts from the exact
+    inverse Hessian at ``theta0``.  Each runner is called by its module
+    name at call time, so a wrapper bound to that name sees every run.
+    """
+    if method == "gd-constant":
+        return run_gd_constant(objective, theta0, config, theta_ref)
+    if method == "gd-polyak":
+        return run_gd_polyak(objective, theta0, f_star, config, theta_ref)
+    if method == "newton":
+        return run_newton(objective, theta0, config, theta_ref)
+    if method == "bfgs":
+        return run_bfgs(objective, theta0, None, config, theta_ref)
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def run_scalar_bfgs(

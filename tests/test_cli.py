@@ -66,6 +66,10 @@ class TestFactorsCommand:
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert run_cli("factors", "--out", missing) == 3
 
+    def test_rejects_negative_k_max_without_writing(self, tmp_path):
+        assert run_cli("factors", "--k-max", -1, "--out", tmp_path / "x.csv") == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPopulationCommand:
     def test_schema_and_theory_overlay(self, tmp_path):
@@ -112,6 +116,11 @@ class TestPopulationCommand:
 
     def test_rejects_wide_design(self, tmp_path):
         assert run_cli("population", "--d", 10, "--m", 5, "--out", tmp_path / "x.csv") == 2
+
+    @pytest.mark.parametrize("sizes", [("--d", 0), ("--d", 0, "--m", 0)])
+    def test_rejects_empty_design_without_writing(self, tmp_path, sizes):
+        assert run_cli("population", *sizes, "--out", tmp_path / "x.csv") == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmpiricalCommand:
@@ -170,6 +179,11 @@ class TestEmpiricalCommand:
 
     def test_rejects_tiny_n(self, tmp_path):
         assert run_cli("empirical", "--n", 5, "--out", tmp_path / "x.csv") == 2
+
+    def test_rejects_zero_trials_without_writing(self, tmp_path):
+        code = run_cli("empirical", "--trials", 0, "--n", 100, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_val_loss_column_is_early_stop_losses(self, tmp_path, monkeypatch):
         import qnbench.cli
@@ -289,6 +303,27 @@ class TestSvgCommand:
         )
         assert code == 2
 
+    def test_non_finite_cells_are_skipped(self, tmp_path):
+        # a diverged run's last record is non-finite: its line just ends
+        data = tmp_path / "data.csv"
+        self.write_csv(
+            data,
+            [("a", 0, 1), ("a", 1, 2), ("a", 2, "nan"), ("b", 0, 3), ("b", 1, "inf"),
+             ("b", "-inf", 1), ("b", 2, 1)],
+            header=("method", "k", "err"),
+        )
+        out = tmp_path / "chart.svg"
+        code = run_cli(
+            "svg", "--in", data, "--x-col", "k", "--y-cols", "err",
+            "--group-col", "method", "--out", out,
+        )
+        assert code == 0
+        text = out.read_text()
+        assert "nan" not in text.lower()
+        assert "inf" not in text.lower()
+        points = [part.split('"')[0] for part in text.split('points="')[1:]]
+        assert [len(p.split()) for p in points] == [2, 2]
+
     def test_grouped_series(self, tmp_path):
         data = tmp_path / "data.csv"
         self.write_csv(
@@ -350,6 +385,14 @@ class TestConfigPrecedence:
         manifest = (out.parent / (out.name + ".manifest")).read_text()
         assert "q=4" in manifest
         assert "k-max=10" in manifest
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("q=6\niter=5\n")
+        out = tmp_path / "factors.csv"
+        assert run_cli("factors", "--config", cfg, "--out", out) == 2
+        assert f"{cfg}:2: unknown key 'iter'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

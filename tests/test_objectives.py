@@ -153,6 +153,11 @@ class TestPowNormConstruction:
         with pytest.raises(ValueError):
             PowNormObjective(np.eye(2), np.zeros(2), 3)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 2)])
+    def test_rejects_empty_design(self, shape):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            PowNormObjective(np.zeros(shape), np.zeros(shape[1]), 4)
+
     def test_rejects_rank_deficient_design(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(AssumptionViolationError):

@@ -189,3 +189,10 @@ class TestHighPrecisionTable:
         rows = contraction_gap_table(4, 0)
         assert len(rows) == 1
         assert rows[0][3] == pytest.approx(rows[0][4], rel=1e-12)
+
+    def test_rejects_negative_k_max(self):
+        # as contraction_sequence does
+        with pytest.raises(ValueError, match="k_max"):
+            contraction_gap_table(4, -1)
+        with pytest.raises(ValueError, match="k_max"):
+            envelope_holds(4, -1)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qnbench import rng
+from qnbench import rng, solvers
 from qnbench.glmsim import generate_dataset, low_snr_config, scalar_moment_ratio
 from qnbench.objectives import EmpiricalGlmLoss, PowNormObjective, random_pow_norm_objective
 from qnbench.rates import (
@@ -10,6 +12,7 @@ from qnbench.rates import (
     scalar_secant_contraction_bound,
 )
 from qnbench.solvers import (
+    METHODS,
     STOP_DIVERGED,
     STOP_GRAD_TOL,
     STOP_MAX_ITERS,
@@ -21,6 +24,7 @@ from qnbench.solvers import (
     run_bfgs,
     run_gd_constant,
     run_gd_polyak,
+    run_method,
     run_newton,
     run_scalar_bfgs,
     _max_asymmetry,
@@ -425,18 +429,14 @@ class TestStopPrecedence:
         assert trace.iterates[1] == pytest.approx(1.1, rel=1e-15)
         assert len(trace.step_info.get("secant_residual", ())) == 0
 
-    @pytest.mark.parametrize("method", ["gd-constant", "gd-polyak", "newton", "bfgs"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_value_on_last_allowed_step_is_diverged(self, method):
-        # every method steps from 1 to -4 or -7, past the cliff at |theta| = 2
-        obj = Cliff(scale=5.0)
-        theta0 = np.array([1.0])
-        config = SolverConfig(step_size=5.0, max_iters=1)
-        trace = {
-            "gd-constant": lambda: run_gd_constant(obj, theta0, config),
-            "gd-polyak": lambda: run_gd_polyak(obj, theta0, -7.5, config),
-            "newton": lambda: run_newton(obj, theta0, config),
-            "bfgs": lambda: run_bfgs(obj, theta0, 5.0 * np.eye(1), config),
-        }[method]()
+        # every method steps from 1 to -4 or -7, past the cliff at |theta| = 2;
+        # bfgs starts from Cliff.hessian_inverse, 5 I
+        trace = run_method(
+            method, Cliff(scale=5.0), np.array([1.0]),
+            SolverConfig(step_size=5.0, max_iters=1), f_star=-7.5,
+        )
         assert len(trace) == 2
         assert not np.isfinite(trace.losses[-1])
         assert trace.stop_reason == STOP_DIVERGED
@@ -484,6 +484,30 @@ class TestStopPrecedence:
         updates = len(trace) - (2 if trace.stop_reason in STOPS_INTERRUPTED else 1)
         for key in ("secant_residual", "h_asymmetry"):
             assert len(trace.step_info.get(key, ())) == updates
+
+
+class TestRunMethod:
+    def test_methods_in_report_order(self):
+        assert METHODS == ("gd-constant", "gd-polyak", "newton", "bfgs")
+
+    def test_calls_runner_by_module_name(self, monkeypatch):
+        # the benchmark counts steps by rebinding solvers.run_* the same way
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_newton(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "run_newton", counting)
+        obj = zero_opt_instance(3, 4, seed=84)
+        trace = run_method("newton", obj, np.ones(3), SolverConfig(max_iters=5))
+        assert len(calls) == 1
+        assert len(trace) == 6
+
+    @pytest.mark.parametrize("method", ["sgd", "scalar-bfgs"])
+    def test_unknown_name_names_methods(self, method):
+        with pytest.raises(ValueError, match=re.escape(str(METHODS))):
+            run_method(method, scalar_quartic(), np.array([1.0]), SolverConfig())
 
 
 class TestTraceShape:
