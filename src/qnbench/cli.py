@@ -203,8 +203,8 @@ def cmd_population(params) -> int:
         if params[key] is None:
             params[key] = preset[key]
     q, d, m = params["q"], params["d"], params["m"]
-    if m < d:
-        raise ValueError("need m >= d so the design can be full rank")
+    if not 1 <= d <= m:
+        raise ValueError("need 1 <= d <= m for a non-empty design that can be full rank")
     seed, iters = params["seed"], params["iters"]
 
     # entries scaled by 1/sqrt(m) keep the Gram matrix near the identity,

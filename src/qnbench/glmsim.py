@@ -220,7 +220,6 @@ class RadiusTrialRow:
     seed: int
     min_error: float
     iters_to_min: int
-    early_stop_error: float
     flagged: bool
 
 
@@ -287,7 +286,6 @@ def run_radius_sweep(
     trials: int,
     seed0: int,
     init_radius: float = 1.0,
-    train_fraction: float = 0.9,
     method: str = "bfgs",
 ) -> RadiusSweepResult:
     """Sweep sample sizes: per (n, trial), generate data, run ``method``
@@ -314,7 +312,8 @@ def run_radius_sweep(
         for trial in range(trials):
             data_seed = rng.derive_seed(seed0, i_n, trial)
             full = generate_dataset(config, n, data_seed)
-            train, val = split_train_validation(full, train_fraction)
+            # the radius is measured on the training nine tenths alone
+            train, _val = split_train_validation(full)
             direction = rng.unit_vector(
                 config.d, rng.derive_seed(data_seed, _STREAM_INIT)
             )
@@ -324,14 +323,12 @@ def run_radius_sweep(
             trace = run_glm_method(
                 method, train, theta0, solver, config.theta_star, config.noise_var
             )
-            choice = early_stop_by_validation(trace, val)
             rows.append(
                 RadiusTrialRow(
                     n=n,
                     seed=data_seed,
                     min_error=trace.min_error,
                     iters_to_min=trace.iters_to_min,
-                    early_stop_error=float(trace.errors[choice.index]),
                     flagged=trace.stop_reason in STOPS_INTERRUPTED,
                 )
             )

@@ -80,14 +80,15 @@ class PowNormObjective:
         self.theta_opt = _as_vector(theta_opt, self.d, "theta_opt")
         self.b = a @ self.theta_opt
 
-        svals = np.linalg.svd(a, compute_uv=False)
-        if svals[-1] ** 2 < GRAM_POSITIVITY_FLOOR:
+        self._gram = a.T @ a
+        # ascending eigenvalues of A'A: the squared singular values of A
+        eigs = np.linalg.eigvalsh(self._gram)
+        if eigs[0] < GRAM_POSITIVITY_FLOOR:
             raise AssumptionViolationError(
-                f"smallest singular value squared {svals[-1]**2:.3e} is below "
+                f"smallest singular value squared {eigs[0]:.3e} is below "
                 f"the positivity floor {GRAM_POSITIVITY_FLOOR:g}"
             )
-        self.condition_number = float(svals[0] / svals[-1])
-        self._gram = a.T @ a
+        self.condition_number = float(np.sqrt(eigs[-1] / eigs[0]))
         gram_inv = cho_solve(cho_factor(self._gram), np.eye(self.d))
         # triangular solves round asymmetrically; restore exact symmetry so
         # the closed-form Hessian inverse is symmetric to the bit
@@ -105,14 +106,16 @@ class PowNormObjective:
 
     def value_and_gradient(self, theta):
         r = self.residual(theta)
-        nr = float(np.linalg.norm(r))
+        # a numpy float, so an overflowing power is inf (a diverged run's
+        # record), not a Python OverflowError
+        nr = np.linalg.norm(r)
         grad = self.q * nr ** (self.q - 2) * (self.a.T @ r)
-        return nr ** self.q, grad
+        return float(nr ** self.q), grad
 
     def hessian(self, theta) -> np.ndarray:
         q = self.q
         r = self.residual(theta)
-        nr = float(np.linalg.norm(r))
+        nr = np.linalg.norm(r)
         if nr == 0.0:
             if q == 4:
                 raise SingularHessianError(
@@ -133,7 +136,7 @@ class PowNormObjective:
         q = self.q
         theta = _as_vector(theta, self.d)
         r = self.a @ theta - self.b
-        nr = float(np.linalg.norm(r))
+        nr = np.linalg.norm(r)
         if nr == 0.0:
             raise SingularHessianError("Hessian is singular at the optimum")
         dev = theta - self.theta_opt

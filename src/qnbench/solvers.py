@@ -41,9 +41,8 @@ SCALAR_BOOTSTRAP_STEP = 1e-3
 
 NEWTON_RIDGE = 1e-12
 
-# Rows per panel of the in-place BFGS update and side of the tiles of its
-# symmetry diagnostic; the update's two work panels take 2 * 64 * d
-# doubles, 1 MB at d = 1000.
+# Rows per panel of the in-place BFGS update; its two work panels take
+# 2 * 64 * d doubles, 1 MB at d = 1000.
 BFGS_PANEL_ROWS = 64
 
 
@@ -80,7 +79,7 @@ class SolverTrace:
     ``iterates`` has shape (K+1, d) for vector runs and (K+1,) for scalar
     runs; ``errors``, ``grad_norms`` and ``losses`` all have length K+1.
     ``step_info`` carries method-specific per-step metadata (Polyak step
-    sizes, BFGS secant residuals and symmetry defects).
+    sizes, BFGS secant residuals).
     """
 
     iterates: np.ndarray
@@ -300,8 +299,11 @@ def bfgs_update(h, s, u) -> np.ndarray:
     (``w = H u``) is applied over panels of ``BFGS_PANEL_ROWS`` rows, so the
     update allocates no d-by-d temporary; every entry takes the same
     operations in the same order as the whole-matrix expression, so the
-    result is the same to the bit, symmetric to the last bit, and satisfies
-    the secant condition ``H_new u = s`` exactly in real arithmetic.  Raises
+    result is the same to the bit and satisfies the secant condition
+    ``H_new u = s`` exactly in real arithmetic.  Entries ``(i, j)`` and
+    ``(j, i)`` take the same operations (the products commute, and so does
+    the sum of the two cross products), so a bit-symmetric ``h`` stays
+    bit-symmetric.  Raises
     ``ZeroDivisionError`` at zero curvature ``s'u`` and ``OverflowError``
     when ``1/s'u`` or the ``s s'`` coefficient is not finite; ``h`` is left
     untouched in both cases.
@@ -334,22 +336,6 @@ def bfgs_update(h, s, u) -> np.ndarray:
     return h
 
 
-def _max_asymmetry(h) -> float:
-    """``max |h - h'|`` of a square matrix (NaN if any entry pair gives NaN),
-    taken over pairs of ``BFGS_PANEL_ROWS``-square tiles on and above the
-    diagonal, so that no d-by-d temporary is made."""
-    tile = BFGS_PANEL_ROWS
-    worst = 0.0
-    for i in range(0, len(h), tile):
-        for j in range(i, len(h), tile):
-            upper, lower = h[i : i + tile, j : j + tile], h[j : j + tile, i : i + tile]
-            top = float(np.abs(upper - lower.T).max())
-            if top != top:
-                return top
-            worst = max(worst, top)
-    return worst
-
-
 def initial_inverse_hessian(objective, theta, ridge: float = NEWTON_RIDGE) -> np.ndarray:
     """Exact inverse Hessian at ``theta`` (closed form when available).
 
@@ -368,10 +354,12 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
 
     ``h0`` defaults to the exact inverse Hessian at ``theta0``, the choice
     under which the contraction-factor theory is exact; the run updates its
-    own copy in place.  Curvature at or below ``CURVATURE_FLOOR * ||s||
-    ||u||``, or so small that the update's coefficients overflow, stops the
-    run with a recorded secant breakdown, or as diverged when the new
-    iterate's loss, gradient norm or error is non-finite.
+    own copy in place.  The default seed is symmetric to the bit, and the
+    update keeps it so (see ``bfgs_update``).  Curvature at or below
+    ``CURVATURE_FLOOR * ||s|| ||u||``, or so small that the update's
+    coefficients overflow, stops the run with a recorded secant breakdown,
+    or as diverged when the new iterate's loss, gradient norm or error is
+    non-finite.
     """
     config = config or SolverConfig()
     if h0 is None:
@@ -383,7 +371,7 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
             raise ValueError("h0 must be symmetric")
         h = h0.copy()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
-    residuals, asymmetries = [], []
+    residuals = []
 
     def step(theta, _loss, grad):
         return theta - h @ grad
@@ -401,12 +389,11 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
         except OverflowError:
             return STOP_SECANT_BREAKDOWN
         residuals.append(float(np.linalg.norm(h @ u - s) / np.linalg.norm(s)))
-        asymmetries.append(_max_asymmetry(h))
         return None
 
     return _iterate(
         objective.value_and_gradient, [start], theta_ref, config, step, after=after,
-        step_info={"secant_residual": residuals, "h_asymmetry": asymmetries},
+        step_info={"secant_residual": residuals},
     )
 
 

@@ -122,6 +122,18 @@ class TestPopulationCommand:
         assert run_cli("population", *sizes, "--out", tmp_path / "x.csv") == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_gd_is_a_diverged_stop(self, tmp_path):
+        # at this step the pow-norm value overflows on the third iterate
+        out = tmp_path / "population.csv"
+        code = run_cli(
+            "population", "--preset", "d10-q10", "--step", 1e-2, "--iters", 50,
+            "--out", out,
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        gd = [row for row in rows if row[0] == "gd-constant"]
+        assert float(gd[-1][3]) == np.inf
+
 
 class TestEmpiricalCommand:
     def test_schema_and_flags(self, tmp_path):

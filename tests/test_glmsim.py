@@ -311,6 +311,16 @@ class TestRadiusSweep:
         with pytest.raises(ValueError, match="method"):
             self.sweep(method="sgd")
 
+    def test_no_validation_early_stop(self, monkeypatch):
+        # the sweep reads only the training trace; validation is not scored
+        import qnbench.glmsim as glmsim
+
+        def no_early_stop(*args):
+            raise AssertionError("the sweep ran the validation early stop")
+
+        monkeypatch.setattr(glmsim, "early_stop_by_validation", no_early_stop)
+        assert len(self.sweep().rows) == 15
+
     def test_scalar_solver_used_in_one_dimension(self):
         config = low_snr_config(1, 2)
         solver = SolverConfig(max_iters=30)
