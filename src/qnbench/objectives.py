@@ -14,7 +14,6 @@ concurrent solver runs.
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import rng
 
@@ -63,7 +62,7 @@ class PowNormObjective:
     The target vector is always built as ``b = A @ theta_opt`` from the
     supplied solution, so the problem is realizable by construction: the
     minimum value is exactly zero and (with A'A positive definite)
-    ``theta_opt`` is the unique minimizer.  ``(A'A)^{-1}`` is factorized
+    ``theta_opt`` is the unique minimizer.  ``(A'A)^{-1}`` is computed
     once here because the closed-form Hessian inverse reuses it at every
     point.
     """
@@ -89,8 +88,8 @@ class PowNormObjective:
                 f"the positivity floor {GRAM_POSITIVITY_FLOOR:g}"
             )
         self.condition_number = float(np.sqrt(eigs[-1] / eigs[0]))
-        gram_inv = cho_solve(cho_factor(self._gram), np.eye(self.d))
-        # triangular solves round asymmetrically; restore exact symmetry so
+        gram_inv = np.linalg.inv(self._gram)
+        # the LU inverse rounds asymmetrically; restore exact symmetry so
         # the closed-form Hessian inverse is symmetric to the bit
         self._gram_inv = 0.5 * (gram_inv + gram_inv.T)
 

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve
 
 STOP_GRAD_TOL = "grad-tol"
 STOP_MAX_ITERS = "max-iters"
@@ -194,11 +192,13 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
 
 
 def _vector_start(objective, theta0, theta_ref):
-    """Evaluated starting triple and reference point of a vector run."""
+    """Evaluated starting triple and reference point of a vector run; the
+    start is evaluated under the driver's errstate, like every step."""
     theta = np.asarray(theta0, dtype=float).copy()
     if theta_ref is None:
         theta_ref = objective.theta_opt
-    return (theta, *objective.value_and_gradient(theta)), theta_ref
+    with np.errstate(all="ignore"):
+        return (theta, *objective.value_and_gradient(theta)), theta_ref
 
 
 def run_gd_constant(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
@@ -250,21 +250,16 @@ def run_gd_polyak(objective, theta0, f_star, config=None, theta_ref=None) -> Sol
 
 
 def _solve_symmetric(matrix, rhs, ridge):
-    """Solve with an exact symmetric factorization; Cholesky when positive
-    definite, LDL otherwise, a ridge retry and least squares as last resorts."""
+    """Solve a symmetric system, definite or not, by one LU solve; on an
+    exactly singular matrix retry with ``ridge * I`` added, and fall back to
+    least squares when that is singular too."""
     try:
-        return cho_solve(cho_factor(matrix), rhs)
-    except (np.linalg.LinAlgError, ValueError):
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
         pass
     try:
-        return scipy.linalg.solve(matrix, rhs, assume_a="sym")
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    try:
-        return scipy.linalg.solve(
-            matrix + ridge * np.eye(matrix.shape[0]), rhs, assume_a="sym"
-        )
-    except (np.linalg.LinAlgError, ValueError):
+        return np.linalg.solve(matrix + ridge * np.eye(matrix.shape[0]), rhs)
+    except np.linalg.LinAlgError:
         return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
@@ -278,8 +273,8 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """Newton's method with unit step.
 
     Uses the objective's own ``newton_direction`` when it provides one (the
-    pow-norm family's cancelled closed form), otherwise a dense symmetric
-    factorization of the exact Hessian with a small ridge retry on failure.
+    pow-norm family's cancelled closed form), otherwise an LU solve with
+    the exact Hessian (see ``_solve_symmetric``).
     """
     config = config or SolverConfig()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
@@ -339,8 +334,9 @@ def bfgs_update(h, s, u) -> np.ndarray:
 def initial_inverse_hessian(objective, theta, ridge: float = NEWTON_RIDGE) -> np.ndarray:
     """Exact inverse Hessian at ``theta`` (closed form when available).
 
-    Empirical Hessians can be indefinite under noise; the symmetric solve
-    handles that, and the result is symmetrized so it is a valid BFGS seed.
+    Otherwise ``_solve_symmetric`` inverts the Hessian, indefinite or not
+    (empirical ones are under noise), with ``ridge`` for its retry; the
+    result is symmetrized so it is a valid BFGS seed.
     """
     if hasattr(objective, "hessian_inverse"):
         return objective.hessian_inverse(theta)
@@ -363,7 +359,8 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     """
     config = config or SolverConfig()
     if h0 is None:
-        h = initial_inverse_hessian(objective, np.asarray(theta0, dtype=float))
+        with np.errstate(all="ignore"):  # as the start is: see _vector_start
+            h = initial_inverse_hessian(objective, np.asarray(theta0, dtype=float))
     else:
         h0 = np.asarray(h0, dtype=float)
         scale = max(1.0, float(np.max(np.abs(h0))))

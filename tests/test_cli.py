@@ -1,8 +1,14 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnbench
 from qnbench import acceptance
 from qnbench.cli import main
 
@@ -424,3 +430,37 @@ class TestOutputDirEnv:
         out = tmp_path / "direct.csv"
         assert run_cli("factors", "--k-max", 5, "--out", out) == 0
         assert out.exists()
+
+
+# Runs one small call of every data command, and selfcheck, in the same
+# interpreter, then prints the scipy modules that got loaded.
+COMMANDS_SCRIPT = """
+import json, sys
+from qnbench.cli import main
+calls = [
+    ["population", "--preset", "d10-q4", "--iters", "20"],
+    ["empirical", "--n", "200", "--trials", "1", "--iters", "20"],
+    ["radius", "--n-grid", "50,100,200", "--trials", "2", "--max-iters", "10"],
+    ["factors", "--k-max", "5"],
+    ["selfcheck"],
+]
+codes = [main(argv) for argv in calls]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+class TestDependencies:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # numpy's LAPACK does every dense solve: a second BLAS (scipy's
+        # OpenBLAS, with its own thread pool) must not load at all
+        src = str(Path(qnbench.__file__).resolve().parent.parent)
+        env = {**os.environ, "QNBENCH_OUT_DIR": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", COMMANDS_SCRIPT], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == {"codes": [0, 0, 0, 0, 0], "scipy": []}

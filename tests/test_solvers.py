@@ -23,6 +23,7 @@ from qnbench.solvers import (
     SolverConfig,
     bfgs_update,
     gd_step_grid_search,
+    initial_inverse_hessian,
     run_bfgs,
     run_gd_constant,
     run_gd_polyak,
@@ -328,6 +329,52 @@ class TestBfgsUpdate:
             assert np.array_equal(h, h.T)
 
 
+class FixedHessian:
+    """An objective with a Hessian and no closed-form inverse, so
+    ``initial_inverse_hessian`` inverts ``hess`` by ``_solve_symmetric``."""
+
+    def __init__(self, hess):
+        self.hess = np.asarray(hess, dtype=float)
+
+    def hessian(self, _theta):
+        return self.hess
+
+
+def forbid_lstsq(monkeypatch):
+    def lstsq(*_args, **_kwargs):
+        raise AssertionError("least squares reached")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+
+
+class TestInitialInverseHessian:
+    def test_indefinite_hessian_is_solved_directly(self, monkeypatch):
+        # eigenvalues of both signs: the LU solve takes it as it is
+        hess = np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 1.0]])
+        assert np.linalg.eigvalsh(hess).min() < 0 < np.linalg.eigvalsh(hess).max()
+        forbid_lstsq(monkeypatch)
+        inv = initial_inverse_hessian(FixedHessian(hess), np.zeros(3))
+        assert np.max(np.abs(hess @ inv - np.eye(3))) <= 1e-12
+        assert np.array_equal(inv, inv.T)
+
+    def test_singular_hessian_takes_the_ridge_retry(self, monkeypatch):
+        # LU meets an exact zero pivot in ones((2, 2)); with ridge 1 the
+        # retry inverts [[2, 1], [1, 2]], whose inverse is [[2, -1], [-1, 2]] / 3
+        forbid_lstsq(monkeypatch)
+        hess = FixedHessian(np.ones((2, 2)))
+        inv = initial_inverse_hessian(hess, np.zeros(2), ridge=1.0)
+        assert inv == pytest.approx(np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3, rel=1e-15)
+        assert np.isfinite(initial_inverse_hessian(hess, np.zeros(2))).all()
+
+    def test_singular_after_ridge_falls_back_to_least_squares(self):
+        # the ridge shifts -ridge to an exact 0, so the retry is singular
+        # too; least squares gives the pseudo-inverse
+        ridge = solvers.NEWTON_RIDGE
+        hess = np.diag([0.0, -ridge])
+        inv = initial_inverse_hessian(FixedHessian(hess), np.zeros(2))
+        assert inv == pytest.approx(np.diag([0.0, -1.0 / ridge]), rel=1e-15)
+
+
 class TestScalarBfgs:
     def test_stationary_start_stops(self):
         x = rng.normals(500, 50)
@@ -487,8 +534,7 @@ class TestStopPrecedence:
     def test_overflowing_start_is_diverged(self, method):
         # ||r||**10 overflows at the start; bfgs's seed H is then zero
         obj = random_pow_norm_objective(6, 12, 10, seed=3, theta_opt=np.zeros(6))
-        with np.errstate(over="ignore"):
-            trace = run_method(method, obj, np.full(6, 1e32), SolverConfig())
+        trace = run_method(method, obj, np.full(6, 1e32), SolverConfig())
         assert len(trace) == 1
         assert trace.losses[0] == np.inf
         assert trace.stop_reason == STOP_DIVERGED
@@ -500,7 +546,7 @@ class TestStopPrecedence:
         obj = random_pow_norm_objective(3, 6, 4, seed=76, theta_opt=np.zeros(3))
         trace = run_bfgs(obj, rng.normals(77, 3), None, SolverConfig(max_iters=10_000))
         assert trace.stop_reason == STOP_SECANT_BREAKDOWN
-        assert len(trace) == 581
+        assert len(trace) == 587
         for values in (trace.iterates, trace.losses, trace.grad_norms, trace.errors):
             assert np.isfinite(values).all()
         assert np.isfinite(trace.step_info["secant_residual"]).all()
