@@ -183,17 +183,17 @@ class EarlyStopChoice:
 def early_stop_by_validation(trace, validation_loss) -> EarlyStopChoice:
     """Trace index minimizing validation loss over every recorded iterate.
 
-    Ties break toward the smallest index; non-finite losses never win, and
+    The finite iterates are evaluated in one ``values`` call.  Ties break
+    toward the smallest index; non-finite losses never win, and
     ``val_loss`` is inf when no iterate has a finite one.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
+    points = np.asarray(trace.iterates, dtype=float).reshape(len(trace), -1)
+    finite = np.all(np.isfinite(points), axis=1)
     losses = np.full(len(trace), np.nan)
     with np.errstate(all="ignore"):
-        for i, theta in enumerate(trace.iterates):
-            point = np.atleast_1d(theta)
-            if np.all(np.isfinite(point)):
-                losses[i] = validation_loss.value(point)
+        losses[finite] = validation_loss.values(points[finite])
     candidates = np.where(np.isfinite(losses), losses, np.inf)
     idx = int(np.argmin(candidates))
     return EarlyStopChoice(index=idx, val_loss=float(candidates[idx]), losses=losses)

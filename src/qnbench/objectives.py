@@ -6,9 +6,13 @@ minimizer) and the empirical least-square loss of a generalized linear
 model with polynomial link ``y ~ (x' theta)**p``.  A third, evaluation-only
 family gives the population loss of the zero-signal GLM.
 
-All evaluations are pure functions of (objective, theta); objective
-instances never mutate after construction and may be shared freely across
-concurrent solver runs.
+All evaluations are pure functions of (objective, theta).  Objective
+instances never change what they compute after construction and may be
+shared freely across concurrent solver runs.  The one piece of state built
+later is an empirical loss's sufficient statistics: they are computed once,
+on the first evaluation that needs them, deterministically from the data,
+so a second build (say, by a concurrent first evaluation) yields the same
+arrays to the bit.
 """
 
 import math
@@ -25,6 +29,11 @@ GRAM_POSITIVITY_FLOOR = 1e-10
 # Central-difference step; balances truncation and roundoff for values of
 # magnitude up to ~1e2.
 FD_STEP = 1e-5
+
+# Rows per block when an empirical loss accumulates its sufficient
+# statistics, so its Kronecker-power features never take more than
+# 2048 * d**p doubles at once.
+MOMENT_BLOCK_ROWS = 2048
 
 
 class SingularHessianError(ArithmeticError):
@@ -54,6 +63,37 @@ def _as_vector(theta, d, name="theta"):
     if theta.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {theta.shape}")
     return theta
+
+
+def _kron_power(a, k: int) -> np.ndarray:
+    """Row-wise Kronecker power ``a^{(x)k}`` (k >= 1) over the last axis of
+    ``a``: shape (..., d) becomes (..., d**k), the last factor's index
+    fastest.  Every entry is the product of its factors taken left to
+    right, whatever the leading shape."""
+    out = a
+    for _ in range(k - 1):
+        out = (out[..., :, None] * a[..., None, :]).reshape(
+            *a.shape[:-1], out.shape[-1] * a.shape[-1]
+        )
+    return out
+
+
+def _glm_moments(x, y, p: int):
+    """Sufficient statistics ``(mean(y**2), mean(y x^{(x)p}),
+    mean(x^{(x)p} x^{(x)p}'))`` of the least-square loss, accumulated over
+    blocks of ``MOMENT_BLOCK_ROWS`` rows."""
+    n = x.shape[0]
+    size = x.shape[1] ** p
+    c = 0.0
+    b = np.zeros(size)
+    m = np.zeros((size, size))
+    for start in range(0, n, MOMENT_BLOCK_ROWS):
+        yb = y[start:start + MOMENT_BLOCK_ROWS]
+        feats = _kron_power(x[start:start + MOMENT_BLOCK_ROWS], p)
+        c += float(yb @ yb)
+        b += yb @ feats
+        m += feats.T @ feats
+    return c / n, b / n, m / n
 
 
 class PowNormObjective:
@@ -170,6 +210,16 @@ class EmpiricalGlmLoss:
     ``x`` is an (n, d) design (a 1-d array is treated as n scalars) and
     ``p >= 2`` an integer link power.  The loss is non-negative everywhere
     but non-convex in general.
+
+    When the sufficient statistics are no larger than the data
+    (``d**(2p) <= n d``, see ``uses_moments``), the loss is evaluated as
+    the polynomial ``c - 2 b'phi + phi' M phi`` in ``phi = theta^{(x)p}``,
+    with ``c = mean(y**2)``, ``b = mean(y x^{(x)p})`` and
+    ``M = mean(x^{(x)p} x^{(x)p}')``: O(d**(2p)) per evaluation, whatever
+    n.  The statistics are built on the first evaluation and kept.  Near
+    zero the terms cancel, so that form is clamped at zero.  Otherwise the
+    per-sample formulas (O(nd)) are used; they are also the oracle for the
+    polynomial form.
     """
 
     def __init__(self, x, y, p: int):
@@ -187,26 +237,92 @@ class EmpiricalGlmLoss:
         self.y = y
         self.n, self.d = x.shape
         self.p = int(p)
+        self.uses_moments = self.d ** (2 * self.p) <= self.n * self.d
+        self._moments = None  # (c, b, M), built by the first evaluation
+
+    def _stats(self):
+        if self._moments is None:
+            self._moments = _glm_moments(self.x, self.y, self.p)
+        return self._moments
+
+    def _moment_values(self, thetas):
+        """Loss at each row of ``thetas`` (k, d) from the statistics.  Each
+        row takes its own vector-matrix product and dot product, the calls
+        ``value_and_gradient`` makes, so a row's loss does not depend on the
+        rest of the batch.  A finite row whose polynomial overflows (to
+        ``inf - inf`` or ``0 * inf``) gets inf, as the per-sample sum of
+        squares does."""
+        c, b, m = self._stats()
+        rows = _kron_power(thetas, self.p)[:, None, :]
+        r = (rows @ m)[:, 0] - b
+        vals = np.maximum(c + (rows @ (r - b)[:, :, None])[:, 0, 0], 0.0)
+        vals[np.isnan(vals) & np.all(np.isfinite(thetas), axis=1)] = np.inf
+        return vals
 
     def value(self, theta) -> float:
         theta = _as_vector(theta, self.d)
-        z = self.x @ theta
-        return float(np.mean((self.y - z ** self.p) ** 2))
+        if self.uses_moments:
+            return float(self._moment_values(theta[None])[0])
+        return self._sample_value(theta)
+
+    def values(self, thetas) -> np.ndarray:
+        """The loss at each row of ``thetas`` (k, d); row i equals
+        ``value(thetas[i])`` to the bit."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.d:
+            raise ValueError(f"thetas must have shape (k, {self.d}), got {thetas.shape}")
+        if self.uses_moments:
+            return self._moment_values(thetas)
+        return np.array([self.value(theta) for theta in thetas], dtype=float)
 
     def gradient(self, theta) -> np.ndarray:
         return self.value_and_gradient(theta)[1]
 
     def value_and_gradient(self, theta):
-        p = self.p
         theta = _as_vector(theta, self.d)
+        if not self.uses_moments:
+            return self._sample_value_and_gradient(theta)
+        c, b, m = self._stats()
+        t = _kron_power(theta, self.p - 1)
+        phi = (t[:, None] * theta).ravel()
+        r = phi @ m - b
+        grad = (2.0 * self.p) * t.dot(r.reshape(t.size, self.d))
+        value = max(c + float(phi.dot(r - b)), 0.0)
+        if math.isnan(value) and np.all(np.isfinite(theta)):
+            value = math.inf  # overflow, as in _moment_values
+        return value, grad
+
+    def hessian(self, theta) -> np.ndarray:
+        theta = _as_vector(theta, self.d)
+        if not self.uses_moments:
+            return self._sample_hessian(theta)
+        p, d = self.p, self.d
+        _c, b, m = self._stats()
+        t = _kron_power(theta, p - 1)
+        r = (t[:, None] * theta).ravel() @ m - b
+        # M[t, ., t, .]: M contracted with t on its row and column factors
+        curvature = t @ (t @ m.reshape(t.size, -1)).reshape(d, t.size, d)
+        # r, a symmetric tensor, contracted with theta on all but two factors
+        bend = r.reshape(-1, d * d)
+        if p > 2:
+            bend = _kron_power(theta, p - 2) @ bend
+        return (2.0 * p * p) * curvature + (2.0 * p * (p - 1)) * bend.reshape(d, d)
+
+    # Per-sample formulas, O(nd) per evaluation.
+
+    def _sample_value(self, theta) -> float:
+        z = self.x @ theta
+        return float(np.mean((self.y - z ** self.p) ** 2))
+
+    def _sample_value_and_gradient(self, theta):
+        p = self.p
         z = self.x @ theta
         miss = self.y - z ** p
         grad = (-2.0 * p / self.n) * (self.x.T @ (miss * z ** (p - 1)))
         return float(np.mean(miss ** 2)), grad
 
-    def hessian(self, theta) -> np.ndarray:
+    def _sample_hessian(self, theta) -> np.ndarray:
         p = self.p
-        theta = _as_vector(theta, self.d)
         z = self.x @ theta
         w = p * z ** (2 * p - 2) - (p - 1) * (self.y - z ** p) * z ** (p - 2)
         return (2.0 * p / self.n) * (self.x.T @ (self.x * w[:, None]))

@@ -226,6 +226,41 @@ class TestEarlyStop:
         assert choice.index == 4
         assert choice.val_loss == val.value(np.array([2.0]))
 
+    def test_batched_losses_match_per_iterate_loop(self):
+        from qnbench.objectives import EmpiricalGlmLoss
+        from qnbench.solvers import SolverTrace
+
+        x = rng.normals(23, 2 * 40).reshape(40, 2)
+        val = EmpiricalGlmLoss(x, rng.normals(24, 40), 2)
+        assert val.uses_moments
+        points = 0.5 * rng.normals(25, 2 * 4).reshape(4, 2)
+        best = points[np.argmin([val.value(theta) for theta in points])]
+        iterates = np.vstack(
+            [points[:2], [[np.nan, 0.0], [1e200, -1e200]], points[2:], best, best]
+        )
+        trace = SolverTrace(
+            iterates=iterates,
+            errors=np.zeros(len(iterates)),
+            grad_norms=np.zeros(len(iterates)),
+            losses=np.zeros(len(iterates)),
+            stop_reason="max-iters",
+        )
+        choice = early_stop_by_validation(trace, val)
+        assert np.isnan(choice.losses[2])
+        assert choice.losses[3] == np.inf
+        # the best point appears three times: the first occurrence wins
+        first = int(np.nonzero((iterates == best).all(axis=1))[0][0])
+        assert first < len(iterates) - 2
+        assert choice.index == first
+        # the loop the batched call replaced
+        expected = np.full(len(iterates), np.nan)
+        with np.errstate(all="ignore"):
+            for i, theta in enumerate(iterates):
+                if np.all(np.isfinite(theta)):
+                    expected[i] = val.value(theta)
+        assert np.array_equal(choice.losses, expected, equal_nan=True)
+        assert choice.val_loss == expected[first]
+
     def test_no_finite_loss_leaves_val_loss_infinite(self):
         from qnbench.objectives import EmpiricalGlmLoss
 

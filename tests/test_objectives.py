@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qnbench import rng
+from qnbench import glmsim, objectives, rng
 from qnbench.objectives import (
     AssumptionViolationError,
     EmpiricalGlmLoss,
@@ -241,6 +243,125 @@ class TestEmpiricalGlmLoss:
     def test_rejects_bad_link_power(self):
         with pytest.raises(ValueError):
             EmpiricalGlmLoss(np.ones((3, 1)), np.ones(3), 1)
+
+
+def max_relative_gap(got, oracle):
+    got, oracle = np.asarray(got), np.asarray(oracle)
+    return float(np.max(np.abs(got - oracle)) / np.max(np.abs(oracle)))
+
+
+class TestEmpiricalGlmMoments:
+    """The sufficient-statistics form against the per-sample formulas."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(1, 4),
+        p=st.integers(2, 4),
+        extra=st.integers(0, 40),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_per_sample_oracle(self, d, p, extra, seed):
+        n = d ** (2 * p - 1) + extra  # the smallest sizes that use the statistics
+        x = rng.normals(rng.derive_seed(seed, 0), n * d).reshape(n, d)
+        y = rng.normals(rng.derive_seed(seed, 1), n)
+        loss = EmpiricalGlmLoss(x, y, p)
+        assert loss.uses_moments
+        thetas = rng.normals(rng.derive_seed(seed, 2), 3 * d).reshape(3, d)
+        values = loss.values(thetas)
+        for k, theta in enumerate(thetas):
+            value, grad = loss.value_and_gradient(theta)
+            oracle_value, oracle_grad = loss._sample_value_and_gradient(theta)
+            assert max_relative_gap(value, oracle_value) <= 1e-12
+            assert max_relative_gap(loss.value(theta), oracle_value) <= 1e-12
+            assert max_relative_gap(values[k], oracle_value) <= 1e-12
+            assert max_relative_gap(grad, oracle_grad) <= 1e-12
+            assert max_relative_gap(loss.hessian(theta), loss._sample_hessian(theta)) <= 1e-12
+
+    def test_size_rule(self):
+        x = rng.normals(50, 4 * 64).reshape(64, 4)
+        y = rng.normals(51, 64)
+        assert EmpiricalGlmLoss(x, y, 2).uses_moments  # 4**4 <= 64 * 4
+        assert not EmpiricalGlmLoss(x[:63], y[:63], 2).uses_moments
+        assert not EmpiricalGlmLoss(x, y, 3).uses_moments
+
+    def test_large_dimension_stays_per_sample(self, monkeypatch):
+        # d = 30, p = 3: the statistics would be a 27,000 x 27,000 matrix
+        def no_moments(*args):
+            raise AssertionError("statistics built for a per-sample loss")
+
+        monkeypatch.setattr(objectives, "_glm_moments", no_moments)
+        x = rng.normals(52, 100 * 30).reshape(100, 30)
+        y = rng.normals(53, 100)
+        loss = EmpiricalGlmLoss(x, y, 3)
+        assert not loss.uses_moments
+        theta = 0.3 * rng.normals(54, 30)
+        z = x @ theta
+        assert loss.value(theta) == pytest.approx(np.mean((y - z ** 3) ** 2), rel=1e-12)
+        assert loss.value_and_gradient(theta)[0] == loss.value(theta)
+        assert loss.hessian(theta).shape == (30, 30)
+        assert loss.values(np.stack([theta, -theta]))[1] == loss.value(-theta)
+
+    @pytest.mark.parametrize("n", [10, 3])  # statistics, per-sample
+    def test_values_one_entry_per_row_equal_to_value(self, n):
+        x = rng.normals(55, 2 * n).reshape(n, 2)
+        y = rng.normals(56, n)
+        loss = EmpiricalGlmLoss(x, y, 2)
+        assert loss.uses_moments == (n == 10)
+        thetas = rng.normals(57, 2 * 25).reshape(25, 2)
+        values = loss.values(thetas)
+        assert values.shape == (25,)
+        for k in range(25):
+            assert values[k] == loss.value(thetas[k])
+            assert values[k] == loss.value_and_gradient(thetas[k])[0]
+        assert loss.values(np.empty((0, 2))).shape == (0,)
+        with pytest.raises(ValueError):
+            loss.values(thetas[0])
+
+    def test_statistics_built_once_on_first_evaluation(self, monkeypatch):
+        calls = []
+        build = objectives._glm_moments
+
+        def counting(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(objectives, "_glm_moments", counting)
+        x = rng.normals(58, 3 * 5000).reshape(5000, 3)
+        loss = EmpiricalGlmLoss(x, rng.normals(59, 5000), 2)
+        assert calls == []
+        theta = rng.normals(60, 3)
+        loss.value_and_gradient(theta)
+        loss.hessian(theta)
+        loss.values(np.stack([theta, theta]))
+        assert calls == [1]
+        # blocks of rows add up to the whole-data statistics
+        feats = (x[:, :, None] * x[:, None, :]).reshape(5000, 9)
+        _c, _b, m = loss._moments
+        assert max_relative_gap(m, feats.T @ feats / 5000) <= 1e-12
+
+    @pytest.mark.parametrize("d, p", [(4, 2), (2, 3)])
+    def test_non_negative_at_noiseless_truth(self, d, p):
+        # the polynomial cancels to within rounding of zero here, and below
+        # it on about two fits in five
+        for seed in range(20):
+            config = glmsim.high_snr_config(d, p, seed, noise_std=0.0)
+            loss = glmsim.generate_dataset(config, 400, seed)
+            assert loss.uses_moments
+            truth = config.theta_star
+            assert loss.value(truth) >= 0.0
+            assert loss.value_and_gradient(truth)[0] >= 0.0
+            assert loss.values(truth[None])[0] >= 0.0
+
+    def test_overflow_is_infinite(self):
+        x = rng.normals(61, 2 * 10).reshape(10, 2)
+        loss = EmpiricalGlmLoss(x, rng.normals(62, 10), 2)
+        assert loss.uses_moments
+        with np.errstate(all="ignore"):
+            for theta in ([1e200, 0.0], [1e200, -1e200]):
+                theta = np.array(theta)
+                assert loss.value(theta) == np.inf
+                assert loss.value_and_gradient(theta)[0] == np.inf
+            assert np.isnan(loss.values(np.array([[np.nan, 0.0]]))[0])
 
 
 class TestLowSnrPopulationLoss:
