@@ -56,15 +56,28 @@ def bfgs_ratio_exactness():
         for theta in trace.iterates:
             denom = np.linalg.norm(theta) * np.linalg.norm(e0)
             ok = ok and abs(float(theta @ e0) / denom - 1.0) <= 1e-8
-        ok = ok and np.all(trace.step_info["secant_residual"] <= 1e-8)
-        # replay the run's updates and check the matrices themselves
-        h = obj.hessian_inverse(trace.iterates[0])
-        iterates = trace.iterates[: len(trace.step_info["secant_residual"]) + 1]
-        grads = np.array([obj.gradient(theta) for theta in iterates])
-        for s, u in zip(np.diff(iterates, axis=0), np.diff(grads, axis=0)):
-            solvers.bfgs_update(h, s, u)
-            ok = ok and float(np.max(np.abs(h - h.T))) <= 1e-10
+        # every step's update was applied, and the replay makes each of them
+        replay = replay_bfgs(obj, trace)
+        ok = ok and len(replay) == 20
+        ok = ok and np.array_equal(replay[:, 0], trace.step_info["curvature"])
+        ok = ok and np.all(replay[:, 1] <= 1e-8) and np.all(replay[:, 2] <= 1e-10)
     return ok and (time.time() - started) < 10.0
+
+
+def replay_bfgs(obj, trace):
+    """Replay the updates of a ``run_bfgs`` run seeded with the exact inverse
+    Hessian, from the trace's iterates: one row ``(s'u, ||H u - s|| / ||s||,
+    max |H - H'|)`` per update recorded in ``step_info["curvature"]``, with
+    ``H`` the matrix after that update."""
+    iterates = trace.iterates[: len(trace.step_info["curvature"]) + 1]
+    h = obj.hessian_inverse(iterates[0])
+    grads = np.array([obj.gradient(theta) for theta in iterates])
+    rows = []
+    for s, u in zip(np.diff(iterates, axis=0), np.diff(grads, axis=0)):
+        solvers.bfgs_update(h, s, u)
+        residual = float(np.linalg.norm(h @ u - s) / np.linalg.norm(s))
+        rows.append((float(s @ u), residual, float(np.max(np.abs(h - h.T)))))
+    return np.array(rows).reshape(-1, 3)
 
 
 def newton_ratio_exactness():

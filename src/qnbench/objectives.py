@@ -185,23 +185,36 @@ class PowNormObjective:
 
     def newton_direction(self, theta) -> np.ndarray:
         """Newton direction ``hessian_inverse(theta) @ gradient(theta)`` in
-        cancelled form.
+        cancelled form (see ``value_gradient_and_newton_direction``);
+        ``SingularHessianError`` at ``r = 0``."""
+        direction = self.value_gradient_and_newton_direction(theta)[2]
+        if direction is None:
+            raise SingularHessianError("Hessian is singular at the optimum")
+        return direction
 
-        Equals ``(A'A)^{-1} A'r - (q-2)/(q-1) d (d'A'r) / ||r||^2`` with
-        ``d = theta - theta_opt``: the powers of ``||r||`` cancel, and both
-        factors of the inner product are divided by ``||r||`` before they
-        meet, so the direction stays finite wherever ``theta`` is.
+    def value_gradient_and_newton_direction(self, theta):
+        """``value_and_gradient(theta)`` and the Newton direction, from one
+        residual: two matvecs with ``A`` where separate calls take four.
+
+        The direction is ``(A'A)^{-1} A'r - (q-2)/(q-1) d (d'A'r) / ||r||^2``
+        with ``d = theta - theta_opt``: the powers of ``||r||`` cancel, and
+        both factors of the inner product are divided by ``||r||`` before
+        they meet, so it stays finite wherever ``theta`` is.  At ``r = 0``,
+        where the Hessian is singular and the gradient exactly zero, it is
+        ``None``.  Loss and gradient are the same bits as
+        ``value_and_gradient``'s.
         """
         q = self.q
         theta = _as_vector(theta, self.d)
         r = self.a @ theta - self.b
-        nr = float(np.linalg.norm(r))
-        if nr == 0.0:
-            raise SingularHessianError("Hessian is singular at the optimum")
+        nr = np.linalg.norm(r)
         atr = self.a.T @ r
+        loss, grad = float(nr ** q), q * nr ** (q - 2) * atr
+        if nr == 0.0:
+            return loss, grad, None
         dev = theta - self.theta_opt
         coeff = (q - 2) / (q - 1) * float((dev / nr) @ (atr / nr))
-        return self._gram_inv @ atr - coeff * dev
+        return loss, grad, self._gram_inv @ atr - coeff * dev
 
 
 class EmpiricalGlmLoss:

@@ -39,9 +39,11 @@ SCALAR_BOOTSTRAP_STEP = 1e-3
 
 NEWTON_RIDGE = 1e-12
 
-# Rows per panel of the in-place BFGS update; its two work panels take
-# 2 * 64 * d doubles, 1 MB at d = 1000.
+# Rows per panel of the in-place BFGS update; its panel buffer takes at
+# most 65 * d doubles, 0.5 MB at d = 1000.
 BFGS_PANEL_ROWS = 64
+SQRT_HALF = math.sqrt(0.5)
+SIGNS = np.array([[1.0], [-1.0]])
 
 
 # The vector methods ``run_method`` accepts, in report order.
@@ -77,7 +79,7 @@ class SolverTrace:
     ``iterates`` has shape (K+1, d) for vector runs and (K+1,) for scalar
     runs; ``errors``, ``grad_norms`` and ``losses`` all have length K+1.
     ``step_info`` carries method-specific per-step metadata (Polyak step
-    sizes, BFGS secant residuals).
+    sizes, the curvature ``s'u`` of each applied BFGS update).
     """
 
     iterates: np.ndarray
@@ -107,6 +109,15 @@ class SolverTrace:
     def iters_to_min(self) -> int:
         masked = np.where(np.isfinite(self.errors), self.errors, np.inf)
         return int(np.argmin(masked))
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a 1-d float array or a scalar as ``sqrt(v.v)``:
+    the same bits as ``np.linalg.norm`` (so 0 where the square underflows,
+    unlike ``abs``) at less overhead per call."""
+    if isinstance(v, np.ndarray):
+        return math.sqrt(v.dot(v))
+    return math.sqrt(v * v)
 
 
 def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
@@ -140,8 +151,8 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     def record(theta, loss, grad):
         nonlocal count
         iterates[count] = theta
-        errors[count] = np.linalg.norm(theta - theta_ref)
-        grad_norms[count] = np.linalg.norm(grad)
+        errors[count] = _norm(theta - theta_ref)
+        grad_norms[count] = _norm(grad)
         losses[count] = loss
         count += 1
 
@@ -191,14 +202,16 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     )
 
 
-def _vector_start(objective, theta0, theta_ref):
+def _vector_start(objective, theta0, theta_ref, evaluate=None):
     """Evaluated starting triple and reference point of a vector run; the
-    start is evaluated under the driver's errstate, like every step."""
+    start is evaluated by ``evaluate`` (default the objective's
+    ``value_and_gradient``) under the driver's errstate, like every step."""
     theta = np.asarray(theta0, dtype=float).copy()
     if theta_ref is None:
         theta_ref = objective.theta_opt
+    evaluate = evaluate or objective.value_and_gradient
     with np.errstate(all="ignore"):
-        return (theta, *objective.value_and_gradient(theta)), theta_ref
+        return (theta, *evaluate(theta)), theta_ref
 
 
 def run_gd_constant(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
@@ -263,26 +276,39 @@ def _solve_symmetric(matrix, rhs, ridge):
         return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
-def _newton_direction(objective, theta, grad):
-    if hasattr(objective, "newton_direction"):
-        return objective.newton_direction(theta)
-    return _solve_symmetric(objective.hessian(theta), grad, NEWTON_RIDGE)
-
-
 def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """Newton's method with unit step.
 
-    Uses the objective's own ``newton_direction`` when it provides one (the
-    pow-norm family's cancelled closed form), otherwise an LU solve with
+    Uses the objective's ``value_gradient_and_newton_direction`` when it
+    provides one (the pow-norm family's cancelled closed form, from the
+    residual its loss and gradient take), keeping the direction at the
+    last evaluated point for the step from it; otherwise an LU solve with
     the exact Hessian (see ``_solve_symmetric``).
     """
     config = config or SolverConfig()
-    start, theta_ref = _vector_start(objective, theta0, theta_ref)
+    with_direction = getattr(objective, "value_gradient_and_newton_direction", None)
+    if with_direction is None:
+        start, theta_ref = _vector_start(objective, theta0, theta_ref)
 
-    def step(theta, _loss, grad):
-        return theta - _newton_direction(objective, theta, grad)
+        def solve_step(theta, _loss, grad):
+            return theta - _solve_symmetric(objective.hessian(theta), grad, NEWTON_RIDGE)
 
-    return _iterate(objective.value_and_gradient, [start], theta_ref, config, step)
+        return _iterate(objective.value_and_gradient, [start], theta_ref, config, solve_step)
+
+    direction = None
+
+    def evaluate(theta):
+        nonlocal direction
+        loss, grad, direction = with_direction(theta)
+        return loss, grad
+
+    def step(theta, _loss, _grad):
+        # the direction is None only at r = 0, where the gradient is exactly
+        # zero, so the driver has stopped the run at grad-tol before this
+        return theta - direction
+
+    start, theta_ref = _vector_start(objective, theta0, theta_ref, evaluate)
+    return _iterate(evaluate, [start], theta_ref, config, step)
 
 
 def bfgs_update(h, s, u) -> np.ndarray:
@@ -290,44 +316,51 @@ def bfgs_update(h, s, u) -> np.ndarray:
     in place.
 
     Overwrites ``h`` with ``(I - s u'/(s'u)) H (I - u s'/(s'u)) + s s'/(s'u)``
-    and returns it.  The expanded form ``H - rho (s w' + w s') + coeff s s'``
-    (``w = H u``) is applied over panels of ``BFGS_PANEL_ROWS`` rows, so the
-    update allocates no d-by-d temporary; every entry takes the same
-    operations in the same order as the whole-matrix expression, so the
-    result is the same to the bit and satisfies the secant condition
-    ``H_new u = s`` exactly in real arithmetic.  Entries ``(i, j)`` and
-    ``(j, i)`` take the same operations (the products commute, and so does
-    the sum of the two cross products), so a bit-symmetric ``h`` stays
-    bit-symmetric.  Raises
-    ``ZeroDivisionError`` at zero curvature ``s'u`` and ``OverflowError``
-    when ``1/s'u`` or the ``s s'`` coefficient is not finite; ``h`` is left
-    untouched in both cases.
+    and returns it.  With ``rho = 1/s'u``, ``w = H u`` and
+    ``coeff = rho + rho^2 u'w``, that is ``H + s a' + a s'`` for
+    ``a = coeff/2 s - rho w``, and in balanced form ``H + p p' - m m'``
+    for ``p, m = (lam s +- a/lam) / sqrt(2)`` with ``lam^2 = ||a||/||s||``,
+    so ``p`` and ``m`` are of one size and their difference does not
+    cancel.  Each panel of ``BFGS_PANEL_ROWS`` rows gets ``[p m] [p; -m]``
+    from one BLAS product into a reused panel buffer, so the update
+    allocates no d-by-d temporary.  Entry ``(i, j)`` is
+    ``p_i p_j - m_i m_j`` and ``(j, i)`` the same products in the same
+    order, so a bit-symmetric ``h`` stays bit-symmetric, fused
+    multiply-add or not; a one-row panel would be a matrix-vector product
+    with other rounding, so a last panel of one row joins the one before.
+    Raises ``ZeroDivisionError`` at zero curvature ``s'u`` and
+    ``OverflowError`` when ``1/s'u``, the ``s s'`` coefficient or ``lam``
+    is not finite (or ``lam`` is zero); ``h`` is left untouched in both
+    cases.
     """
-    curvature = float(s @ u)
+    curvature = float(s.dot(u))
     if curvature == 0.0:
         raise ZeroDivisionError("curvature s'u is zero")
     rho = 1.0 / curvature
-    w = h @ u
-    coeff = rho + rho * rho * float(u @ w)
+    w = h.dot(u)
+    coeff = rho + rho * rho * float(u.dot(w))
     if not (math.isfinite(rho) and math.isfinite(coeff)):
         raise OverflowError(f"update coefficients overflow at s'u = {curvature:.3e}")
+    a = 0.5 * coeff * s - rho * w
+    norm_a = math.sqrt(a.dot(a))
+    if norm_a == 0.0:
+        return h
+    lam = math.sqrt(norm_a / math.sqrt(s.dot(s)))
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise OverflowError(f"update scale overflows at s'u = {curvature:.3e}")
+    scaled_s = (lam * SQRT_HALF) * s
+    scaled_a = (SQRT_HALF / lam) * a
+    factors = np.array((scaled_s + scaled_a, scaled_s - scaled_a))  # rows p, m
+    right = factors * SIGNS  # rows p, -m
     size = len(s)
-    s_col, w_col = s[:, None], w[:, None]
-    cross = np.empty((min(BFGS_PANEL_ROWS, size), size))
-    other = np.empty_like(cross)
-    for start in range(0, size, BFGS_PANEL_ROWS):
-        stop = min(start + BFGS_PANEL_ROWS, size)
-        if stop - start < len(cross):  # the last, shorter panel
-            cross, other = cross[: stop - start], other[: stop - start]
-        np.multiply(s_col[start:stop], w, out=cross)
-        np.multiply(w_col[start:stop], s, out=other)
-        cross += other
-        cross *= rho
-        panel = h[start:stop]
-        panel -= cross
-        np.multiply(s_col[start:stop], s, out=cross)
-        cross *= coeff
-        panel += cross
+    starts = list(range(0, size, BFGS_PANEL_ROWS))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    panel = np.empty((min(size, BFGS_PANEL_ROWS + 1), size))
+    for start, stop in zip(starts, starts[1:] + [size]):
+        out = panel[: stop - start]
+        np.matmul(factors[:, start:stop].T, right, out=out)
+        h[start:stop] += out
     return h
 
 
@@ -355,7 +388,10 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     ``CURVATURE_FLOOR * ||s|| ||u||``, or so small that the update's
     coefficients overflow, stops the run with a recorded secant breakdown,
     or as diverged when the new iterate's loss, gradient norm or error is
-    non-finite.
+    non-finite.  ``step_info["curvature"]`` holds the ``s'u`` of each
+    applied update, in order; replaying the updates from the trace's
+    iterates reproduces the matrices (criterion 2 checks their secant
+    condition and symmetry that way).
     """
     config = config or SolverConfig()
     if h0 is None:
@@ -368,7 +404,7 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
             raise ValueError("h0 must be symmetric")
         h = h0.copy()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
-    residuals = []
+    curvatures = []
 
     def step(theta, _loss, grad):
         return theta - h @ grad
@@ -377,20 +413,20 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
         s = theta_next - theta
         u = grad_next - grad
         curvature = float(s @ u)
-        if not np.isfinite(curvature) or curvature <= CURVATURE_FLOOR * float(
-            np.linalg.norm(s) * np.linalg.norm(u)
+        if not math.isfinite(curvature) or curvature <= CURVATURE_FLOOR * (
+            _norm(s) * _norm(u)
         ):
             return STOP_SECANT_BREAKDOWN
         try:
             bfgs_update(h, s, u)
         except OverflowError:
             return STOP_SECANT_BREAKDOWN
-        residuals.append(float(np.linalg.norm(h @ u - s) / np.linalg.norm(s)))
+        curvatures.append(curvature)
         return None
 
     return _iterate(
         objective.value_and_gradient, [start], theta_ref, config, step, after=after,
-        step_info={"secant_residual": residuals},
+        step_info={"curvature": curvatures},
     )
 
 

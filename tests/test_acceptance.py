@@ -9,8 +9,9 @@ Run ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 
 import numpy as np
+import pytest
 
-from qnbench import acceptance, rng
+from qnbench import acceptance, rng, solvers
 from qnbench.cli import main as cli_main
 from qnbench.glmsim import (
     GlmModelConfig,
@@ -19,7 +20,7 @@ from qnbench.glmsim import (
     low_snr_config,
     run_radius_sweep,
 )
-from qnbench.solvers import SolverConfig, run_gd_constant, run_scalar_bfgs
+from qnbench.solvers import SolverConfig, run_bfgs, run_gd_constant, run_scalar_bfgs
 
 
 def report(number, text, ok, started):
@@ -40,6 +41,19 @@ for _number, _title, _check in acceptance.CHECKS:
     globals()[f"test_criterion_{_number}_{_check.__name__}"] = _registry_test(
         _number, _title, _check
     )
+
+
+@pytest.mark.parametrize("kept", [0, 19])
+def test_criterion_2_fails_when_the_replay_misses_updates(monkeypatch, kept):
+    # criterion 2 checks the secant condition and symmetry by replaying the
+    # updates a run records; a run that records fewer than it made fails
+    def truncated(*args, **kwargs):
+        trace = run_bfgs(*args, **kwargs)
+        trace.step_info["curvature"] = trace.step_info["curvature"][:kept]
+        return trace
+
+    monkeypatch.setattr(solvers, "run_bfgs", truncated)
+    assert not acceptance.bfgs_ratio_exactness()
 
 
 def test_criterion_9_statistical_radius_slopes():

@@ -149,6 +149,25 @@ class TestNewtonDirection:
         with pytest.raises(SingularHessianError):
             obj.newton_direction(obj.theta_opt)
 
+    @pytest.mark.parametrize("q", [4, 6, 10])
+    def test_combined_evaluation_matches_separate_calls_to_the_bit(self, q):
+        for trial in range(5):
+            d = 2 + trial
+            obj = random_pow_norm_objective(d, 2 * d, q, seed=rng.derive_seed(93, q, d))
+            theta = obj.theta_opt + rng.normals(rng.derive_seed(94, q, d), d)
+            loss, grad, direction = obj.value_gradient_and_newton_direction(theta)
+            expected_loss, expected_grad = obj.value_and_gradient(theta)
+            assert loss == expected_loss
+            assert np.array_equal(grad, expected_grad)
+            assert np.array_equal(direction, obj.newton_direction(theta))
+
+    def test_combined_evaluation_has_no_direction_at_solution(self):
+        obj = random_pow_norm_objective(3, 6, 4, seed=19)
+        loss, grad, direction = obj.value_gradient_and_newton_direction(obj.theta_opt)
+        assert loss == 0.0
+        assert np.array_equal(grad, np.zeros(3))
+        assert direction is None
+
 
 class TestPowNormConstruction:
     def test_rejects_small_exponent(self):

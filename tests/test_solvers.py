@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnbench import rng, solvers
+from qnbench.acceptance import replay_bfgs
 from qnbench.glmsim import generate_dataset, low_snr_config, scalar_moment_ratio
 from qnbench.objectives import EmpiricalGlmLoss, PowNormObjective, random_pow_norm_objective
 from qnbench.rates import (
@@ -183,6 +185,38 @@ class TestNewton:
         for cos in cosines_to_start(trace, obj.theta_opt):
             assert cos == pytest.approx(1.0, abs=1e-10)
 
+    def test_start_at_the_solution_stops_without_raising(self):
+        # r = 0: the evaluation gives no direction and an exactly zero
+        # gradient, so the run stops at grad-tol before any step
+        obj = random_pow_norm_objective(3, 6, 4, seed=35)
+        trace = run_newton(obj, obj.theta_opt, SolverConfig())
+        assert len(trace) == 1
+        assert trace.stop_reason == STOP_GRAD_TOL
+
+    def test_one_evaluation_per_record(self):
+        # each step takes the direction evaluated with the loss and gradient
+        # at its point, and nothing evaluates that point again
+        calls = []
+
+        class Counting(PowNormObjective):
+            def value_and_gradient(self, theta):
+                calls.append("value_and_gradient")
+                return super().value_and_gradient(theta)
+
+            def newton_direction(self, theta):
+                calls.append("newton_direction")
+                return super().newton_direction(theta)
+
+            def value_gradient_and_newton_direction(self, theta):
+                calls.append("combined")
+                return super().value_gradient_and_newton_direction(theta)
+
+        base = zero_opt_instance(4, 4, seed=36)
+        obj = Counting(base.a, base.theta_opt, 4)
+        trace = run_newton(obj, rng.normals(37, 4), SolverConfig(max_iters=30))
+        assert len(trace) == 31
+        assert calls == ["combined"] * 31
+
     def test_newton_on_empirical_loss(self):
         # noiseless identifiable data: Newton lands on the truth
         truth = np.array([0.4, -0.2, 0.1])
@@ -225,7 +259,12 @@ class TestBfgs:
     def test_secant_condition_and_symmetry(self):
         obj = zero_opt_instance(6, 4, seed=72)
         trace = run_bfgs(obj, rng.normals(73, 6), None, SolverConfig(max_iters=30))
-        assert np.all(trace.step_info["secant_residual"] <= 1e-8)
+        # the replay makes the run's 30 updates, with its curvatures
+        replay = replay_bfgs(obj, trace)
+        assert len(replay) == 30
+        assert np.array_equal(replay[:, 0], trace.step_info["curvature"])
+        assert np.all(replay[:, 1] <= 1e-8)
+        assert np.all(replay[:, 2] == 0.0)
 
     def test_nonzero_solution_instance(self):
         # contract holds regardless of where the solution sits
@@ -254,17 +293,28 @@ class TestBfgs:
 
 
 def out_of_place_update(h, s, u):
-    """The whole-matrix form of the update, as ``bfgs_update`` computed it
-    before it worked in place: the oracle for its bits."""
+    """The whole-matrix form of the update, ``h - rho (s w' + w s') +
+    coeff s s'``: the oracle for ``bfgs_update``."""
     rho = 1.0 / float(s @ u)
     w = h @ u
     coeff = rho + rho * rho * float(u @ w)
     return h - rho * (np.outer(s, w) + np.outer(w, s)) + coeff * np.outer(s, s)
 
 
+# Normwise relative distance allowed between ``bfgs_update`` and the
+# oracle, which round differently; at most 4.9e-16 was measured over the
+# cases below.
+UPDATE_TOLERANCE = 2e-15
+
+
+def assert_matches_oracle(h, expected):
+    assert np.linalg.norm(h - expected) <= UPDATE_TOLERANCE * np.linalg.norm(expected)
+
+
 class TestBfgsUpdate:
     @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 200])
     def test_in_place_matches_out_of_place_to_the_bit(self, d):
+        # normwise against the oracle, and symmetric to the bit
         for seed in range(3):
             a = rng.normals(rng.derive_seed(600, d, seed), d * d).reshape(d, d)
             h = a @ a.T + np.eye(d)
@@ -272,8 +322,56 @@ class TestBfgsUpdate:
             u = s + 0.1 * rng.normals(rng.derive_seed(602, d, seed), d)
             expected = out_of_place_update(h, s, u)
             assert bfgs_update(h, s, u) is h
-            assert np.array_equal(h, expected)
+            assert_matches_oracle(h, expected)
             assert np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("d", [2, 65, 200])
+    @pytest.mark.parametrize("h_scale,step_scale,log_ratio", [
+        (1e21, 1.0, 20), (1e-30, 1e9, -20),
+    ])
+    def test_matches_oracle_at_extreme_update_scales(self, d, h_scale, step_scale,
+                                                     log_ratio):
+        # ||a|| / ||s|| about 1e+-20, a = coeff/2 s - rho H u: unbalanced,
+        # p p' - m m' would cancel catastrophically
+        for seed in range(3):
+            b = rng.normals(rng.derive_seed(610, d, seed), d * d).reshape(d, d)
+            h = (b @ b.T / d + np.eye(d)) * h_scale
+            s = rng.normals(rng.derive_seed(611, d, seed), d) * step_scale
+            u = s + 0.1 * rng.normals(rng.derive_seed(612, d, seed), d) * step_scale
+            rho = 1.0 / float(s @ u)
+            coeff = rho + rho * rho * float(u @ h @ u)
+            a = 0.5 * coeff * s - rho * (h @ u)
+            ratio = np.linalg.norm(a) / np.linalg.norm(s)
+            assert abs(np.log10(ratio) - log_ratio) <= 2
+            expected = out_of_place_update(h, s, u)
+            bfgs_update(h, s, u)
+            assert_matches_oracle(h, expected)
+            assert np.array_equal(h, h.T)
+
+    def test_zero_update_leaves_h_untouched(self):
+        # H = I and u = s already satisfy the secant condition: with
+        # s's = 4, a = coeff/2 s - rho s is exactly zero
+        h = np.eye(4)
+        s = np.array([1.0, -1.0, 1.0, 1.0])
+        assert bfgs_update(h, s, s.copy()) is h
+        assert np.array_equal(h, np.eye(4))
+
+    def test_allocates_no_square_temporary(self):
+        # tracemalloc sees numpy's data buffers: the update's peak is one
+        # panel buffer and its 2 x d factors, where one d x d temporary
+        # alone would take 8 MB
+        d = 1000
+        b = rng.normals(620, d * d).reshape(d, d)
+        h = b + b.T
+        s = rng.normals(621, d)
+        u = s + 0.1 * rng.normals(622, d)
+        tracemalloc.start()
+        try:
+            bfgs_update(h, s, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_overflowing_coefficients_leave_h_untouched(self):
         # s'u = 1e-160: 1/s'u is finite, its square is not
@@ -285,14 +383,17 @@ class TestBfgsUpdate:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
-        d=st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129]), st.integers(1, 200)),
+        d=st.one_of(
+            st.sampled_from([1, 63, 64, 65, 128, 129, 193, 257, 1001]), st.integers(1, 200)
+        ),
         seed=st.integers(0, 2**32 - 1),
         h_scale=st.integers(-30, 30),
         step_scale=st.integers(-30, 30),
     )
     def test_bit_symmetric_h_stays_bit_symmetric(self, d, seed, h_scale, step_scale):
         # entries (i, j) and (j, i) take the same operations, whatever the
-        # panel they fall in and whatever the scale
+        # panel they fall in and whatever the scale; a last panel of one
+        # row (d = 65, 129, 193, 257) joins the one before
         m = rng.normals(rng.derive_seed(seed, 0), d * d).reshape(d, d)
         h = (m + m.T) * 10.0**h_scale
         s = rng.normals(rng.derive_seed(seed, 1), d) * 10.0**step_scale
@@ -461,7 +562,7 @@ class TestScalarBfgs:
 class Cliff:
     """f = s * theta'theta / 2 with gradient s * theta, whose value is +inf
     wherever ||theta|| > 2.  ``hessian_inverse`` is ``scale * I``, and
-    ``newton_direction`` is ``scale`` times the gradient, so that Newton,
+    the Newton direction is ``scale`` times the gradient, so that Newton,
     like the other methods, can jump past the cliff in one step."""
 
     def __init__(self, sign=1.0, scale=1.0):
@@ -477,8 +578,8 @@ class Cliff:
     def hessian_inverse(self, theta):
         return self.scale * np.eye(theta.size)
 
-    def newton_direction(self, theta):
-        return self.scale * self.sign * theta
+    def value_gradient_and_newton_direction(self, theta):
+        return (*self.value_and_gradient(theta), self.scale * self.sign * theta)
 
 
 class TestStopPrecedence:
@@ -491,7 +592,7 @@ class TestStopPrecedence:
         assert trace.stop_reason == STOP_SECANT_BREAKDOWN
         assert len(trace) == 2
         assert trace.iterates[1] == pytest.approx(1.1, rel=1e-15)
-        assert len(trace.step_info.get("secant_residual", ())) == 0
+        assert len(trace.step_info.get("curvature", ())) == 0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_value_on_last_allowed_step_is_diverged(self, method):
@@ -540,16 +641,16 @@ class TestStopPrecedence:
         assert trace.stop_reason == STOP_DIVERGED
 
     def test_bfgs_overflowing_update_is_breakdown_on_finite_iterates(self):
-        # at the rounding floor s'u = 3.7e-155 still passes the relative
+        # at the rounding floor s'u = 3.9e-155 still passes the relative
         # curvature floor, but 1/s'u squared overflows: the update is not
         # made, so no infinite H ever yields a NaN iterate
         obj = random_pow_norm_objective(3, 6, 4, seed=76, theta_opt=np.zeros(3))
         trace = run_bfgs(obj, rng.normals(77, 3), None, SolverConfig(max_iters=10_000))
         assert trace.stop_reason == STOP_SECANT_BREAKDOWN
-        assert len(trace) == 587
+        assert len(trace) == 575
         for values in (trace.iterates, trace.losses, trace.grad_norms, trace.errors):
             assert np.isfinite(values).all()
-        assert np.isfinite(trace.step_info["secant_residual"]).all()
+        assert (trace.step_info["curvature"] > 0).all()
 
     @pytest.mark.parametrize("f_star,max_iters", [(0.0, 25), (1.0, 10)])
     def test_polyak_step_sizes_one_per_step(self, f_star, max_iters):
@@ -567,7 +668,7 @@ class TestStopPrecedence:
         # seed 76 stops where the update's coefficients would overflow: the
         # after-record check records its iterate but makes no update
         updates = len(trace) - (2 if trace.stop_reason in STOPS_INTERRUPTED else 1)
-        assert len(trace.step_info.get("secant_residual", ())) == updates
+        assert len(trace.step_info.get("curvature", ())) == updates
 
 
 class TestRunMethod:
@@ -592,6 +693,21 @@ class TestRunMethod:
     def test_unknown_name_names_methods(self, method):
         with pytest.raises(ValueError, match=re.escape(str(METHODS))):
             run_method(method, scalar_quartic(), np.array([1.0]), SolverConfig())
+
+
+class TestNorm:
+    def test_matches_numpy_norm_to_the_bit(self):
+        # including where the square under- or overflows, and the scalars
+        # that scalar-bfgs records; abs(1e-170) would not be 0
+        vectors = [
+            rng.normals(700 + d, d) * 10.0**e for d in (1, 3, 1000) for e in (-170, 0, 160)
+        ]
+        scalars = [1e-170, -3.0, np.float64(2.5e-200), 1e160, np.inf]
+        with np.errstate(over="ignore"):
+            for v in vectors + scalars + [np.array([np.inf, 1.0])]:
+                assert solvers._norm(v) == np.linalg.norm(v)
+        assert np.isnan(solvers._norm(np.array([np.nan, 1.0])))
+        assert np.isnan(solvers._norm(np.nan))
 
 
 class TestTraceShape:
