@@ -14,12 +14,10 @@ __version__ = "0.1.0"
 from .objectives import (
     AssumptionViolationError,
     EmpiricalGlmLoss,
-    LowSnrPopulationLoss,
     PowNormObjective,
     SingularHessianError,
     central_difference_gradient,
     central_difference_jacobian,
-    double_factorial,
     random_pow_norm_objective,
 )
 from .rates import (
@@ -38,7 +36,6 @@ from .solvers import (
     SolverConfig,
     SolverTrace,
     bfgs_update,
-    gd_step_grid_search,
     initial_inverse_hessian,
     run_method,
     run_scalar_bfgs,
@@ -53,6 +50,7 @@ from .glmsim import (
     generate_dataset,
     high_snr_config,
     low_snr_config,
+    low_snr_population_objective,
     run_glm_method,
     run_radius_sweep,
     scalar_moment_ratio,

@@ -16,7 +16,9 @@ from .solvers import SolverConfig
 
 def theory_instances():
     """Twenty random pow-norm instances over d in {2,10,50}, q in {4,6,10},
-    m = 2d, condition number at most 100, solution at the origin."""
+    m = 2d, condition number at most 100, solution at the origin; then the
+    low-SNR GLM population loss (q = 2p) for d in {2,4}, p in {2,3}, with
+    the default decaying covariance (condition numbers 2 and 8)."""
     grids = [(d, q) for d in (2, 10, 50) for q in (4, 6, 10)]
     instances = []
     k = 0
@@ -29,6 +31,10 @@ def theory_instances():
         if obj.condition_number <= 100:
             theta0 = rng.normals(2000 + k, d)
             instances.append((obj, theta0))
+    for d in (2, 4):
+        for p in (2, 3):
+            obj = glmsim.low_snr_population_objective(glmsim.low_snr_config(d, p))
+            instances.append((obj, rng.normals(rng.derive_seed(2100, d, p), d)))
     return instances
 
 
@@ -104,7 +110,7 @@ def derivative_bound():
     started = time.time()
     ok = True
     for q in range(4, 101):
-        rep = rates.contraction_map_derivative_bound(q, 10_000)
+        rep = rates.contraction_map_derivative_bound(q)
         ok = ok and rep.holds and rep.max_abs_derivative <= 0.5 + 1e-9
     return ok and (time.time() - started) < 5.0
 

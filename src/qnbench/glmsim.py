@@ -8,17 +8,23 @@ the loss is locally strongly convex, and low signal-to-noise
 (theta_star = 0), where it is flat at the optimum and first-order methods
 slow to a crawl.
 
+At low SNR the population loss, ``(2p-1)!! ||S theta||**(2p)`` plus the
+noise variance, is a pow-norm objective plus a constant, so
+``low_snr_population_objective`` builds it as one and the solvers run on
+it with exact derivatives.
+
 The sweep machinery reruns a solver across sample sizes and trials,
 records the best error along each trace against theta_star, and fits the
 log-log slope of the per-size medians — the empirical statistical radius.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .objectives import EmpiricalGlmLoss
+from .objectives import EmpiricalGlmLoss, PowNormObjective
 from .solvers import METHODS, STOPS_INTERRUPTED, SolverConfig, run_method, run_scalar_bfgs
 
 REGIME_LOW_SNR = "low-snr"
@@ -31,6 +37,9 @@ _STREAM_INIT = 2
 # Fixed starting pair for one-dimensional secant runs: ordered, positive,
 # and well above any desk-scale statistical radius.
 SCALAR_START = (1.0, 0.999)
+
+# Share of a dataset that ``split_train_validation`` keeps for training.
+_TRAIN_FRACTION = 0.9
 
 # The methods ``run_glm_method`` accepts: the vector methods and, on
 # one-dimensional losses, the secant form.
@@ -118,6 +127,29 @@ def high_snr_config(
     )
 
 
+def low_snr_population_objective(config: GlmModelConfig) -> PowNormObjective:
+    """The population least-square loss of a low-SNR model, less its noise
+    variance, as a pow-norm objective.
+
+    With theta_star = 0, ``E (y - (x' theta)**p)**2 = (2p-1)!! ||S theta||**(2p)
+    + noise_var`` for S the symmetric covariance square root
+    ``config.cov_sqrt``: the pow-norm objective with
+    ``A = ((2p-1)!!)**(1/(2p)) S``, ``theta_opt = 0`` and ``q = 2p``.  Add
+    ``config.noise_var`` to its ``value`` for the loss.
+
+    A high-SNR config is a ``ValueError``: its population loss is not a
+    power of a norm.  ``PowNormObjective``'s Gram floor applies, so a
+    badly conditioned S (the default decaying covariance from d = 18 on)
+    raises ``AssumptionViolationError``.
+    """
+    if config.regime != REGIME_LOW_SNR:
+        raise ValueError("the population loss is a pow-norm only at low SNR")
+    # (2p-1)!!, the 2p-th moment of a standard normal
+    moment = math.prod(range(1, 2 * config.p, 2))
+    scale = moment ** (1.0 / (2 * config.p))
+    return PowNormObjective(scale * config.cov_sqrt, np.zeros(config.d), 2 * config.p)
+
+
 def generate_dataset(config: GlmModelConfig, n: int, seed: int) -> EmpiricalGlmLoss:
     """Draw n samples from the model; bit-identical for identical inputs."""
     if n < 1:
@@ -129,11 +161,12 @@ def generate_dataset(config: GlmModelConfig, n: int, seed: int) -> EmpiricalGlmL
     return EmpiricalGlmLoss(x, y, config.p)
 
 
-def split_train_validation(loss: EmpiricalGlmLoss, train_fraction: float = 0.9):
-    """Contiguous train/validation split (data are i.i.d., no shuffle needed)."""
+def split_train_validation(loss: EmpiricalGlmLoss):
+    """Contiguous train/validation split, ``_TRAIN_FRACTION`` of the rows
+    for training (data are i.i.d., no shuffle needed)."""
     if loss.n < 2:
         raise ValueError("need at least two samples to split")
-    n_train = int(round(train_fraction * loss.n))
+    n_train = int(round(_TRAIN_FRACTION * loss.n))
     n_train = min(max(n_train, 1), loss.n - 1)
     train = EmpiricalGlmLoss(loss.x[:n_train], loss.y[:n_train], loss.p)
     val = EmpiricalGlmLoss(loss.x[n_train:], loss.y[n_train:], loss.p)
@@ -301,8 +334,8 @@ def run_radius_sweep(
     come out sorted by n, then trial, regardless of evaluation order.
     """
     n_grid = [int(n) for n in n_grid]
-    if sorted(n_grid) != n_grid:
-        raise ValueError("n_grid must be sorted ascending")
+    if any(later <= earlier for earlier, later in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
     if trials < 1:
         raise ValueError("need at least one trial")
     if method not in GLM_METHODS:

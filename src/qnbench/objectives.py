@@ -3,8 +3,9 @@
 Two differentiable families are implemented: the flat convex power-of-norm
 objective ``||A theta - b||**q`` (q >= 4, so the Hessian is singular at the
 minimizer) and the empirical least-square loss of a generalized linear
-model with polynomial link ``y ~ (x' theta)**p``.  A third, evaluation-only
-family gives the population loss of the zero-signal GLM.
+model with polynomial link ``y ~ (x' theta)**p``.  The population loss of
+the zero-signal GLM is a pow-norm instance plus a constant; see
+``glmsim.low_snr_population_objective``.
 
 All evaluations are pure functions of (objective, theta).  Objective
 instances never change what they compute after construction and may be
@@ -35,6 +36,9 @@ FD_STEP = 1e-5
 # 2048 * d**p doubles at once.
 MOMENT_BLOCK_ROWS = 2048
 
+# Matrices ``random_pow_norm_objective`` draws before giving up.
+_MAX_DRAWS = 10
+
 
 class SingularHessianError(ArithmeticError):
     """Hessian or Hessian inverse requested at a point where it is singular."""
@@ -42,20 +46,6 @@ class SingularHessianError(ArithmeticError):
 
 class AssumptionViolationError(RuntimeError):
     """A sampled or supplied matrix fails the positive-definiteness floor."""
-
-
-def double_factorial(k: int) -> int:
-    """Product of the odd integers up to ``k``; 1 for k <= 1.
-
-    Even k > 0 is rejected: only odd double factorials (Gaussian moment
-    coefficients) are meaningful here.
-    """
-    k = int(k)
-    if k <= 1:
-        return 1
-    if k % 2 == 0:
-        raise ValueError(f"double_factorial needs an odd argument, got {k}")
-    return math.prod(range(1, k + 1, 2))
 
 
 def _as_vector(theta, d, name="theta"):
@@ -182,15 +172,6 @@ class PowNormObjective:
         return self._gram_inv / (q * nr ** (q - 2)) - (q - 2) * np.outer(dev, dev) / (
             q * (q - 1) * nr ** q
         )
-
-    def newton_direction(self, theta) -> np.ndarray:
-        """Newton direction ``hessian_inverse(theta) @ gradient(theta)`` in
-        cancelled form (see ``value_gradient_and_newton_direction``);
-        ``SingularHessianError`` at ``r = 0``."""
-        direction = self.value_gradient_and_newton_direction(theta)[2]
-        if direction is None:
-            raise SingularHessianError("Hessian is singular at the optimum")
-        return direction
 
     def value_gradient_and_newton_direction(self, theta):
         """``value_and_gradient(theta)`` and the Newton direction, from one
@@ -341,37 +322,6 @@ class EmpiricalGlmLoss:
         return (2.0 * p / self.n) * (self.x.T @ (self.x * w[:, None]))
 
 
-class LowSnrPopulationLoss:
-    """Population loss of the zero-signal GLM: (2p-1)!! ||S theta||^{2p} + var.
-
-    ``cov_sqrt`` is any square root S of the feature covariance (S'S or SS'
-    equal to it; only ||S theta|| matters).  The value at theta = 0 equals
-    the noise variance exactly, and the even exponent makes the loss
-    invariant under theta -> -theta.
-    """
-
-    def __init__(self, cov_sqrt, p: int, noise_var: float):
-        cov_sqrt = np.asarray(cov_sqrt, dtype=float)
-        if cov_sqrt.ndim != 2 or cov_sqrt.shape[0] != cov_sqrt.shape[1]:
-            raise ValueError("cov_sqrt must be a square matrix")
-        if not (isinstance(p, (int, np.integer)) and p >= 2):
-            raise ValueError(f"link power p must be an integer >= 2, got {p!r}")
-        if noise_var < 0:
-            raise ValueError("noise variance must be non-negative")
-        self.cov_sqrt = cov_sqrt
-        self.d = cov_sqrt.shape[0]
-        self.p = int(p)
-        self.noise_var = float(noise_var)
-        self._coeff = float(double_factorial(2 * self.p - 1))
-
-    def value(self, theta) -> float:
-        theta = _as_vector(theta, self.d)
-        return (
-            self._coeff * float(np.linalg.norm(self.cov_sqrt @ theta)) ** (2 * self.p)
-            + self.noise_var
-        )
-
-
 def central_difference_gradient(func, theta, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of a scalar function (independent oracle)."""
     theta = np.asarray(theta, dtype=float)
@@ -405,18 +355,17 @@ def random_pow_norm_objective(
     seed: int,
     entry_std: float = 1.0,
     theta_opt=None,
-    max_tries: int = 10,
 ) -> PowNormObjective:
     """Sample a pow-norm instance with i.i.d. Gaussian matrix entries.
 
     The entry scale is configurable; conditioning is reported on the
     instance rather than controlled.  Draws failing the positivity floor
-    are resampled up to ``max_tries`` times before giving up.
+    are resampled up to ``_MAX_DRAWS`` times before giving up.
     """
     if theta_opt is None:
         theta_opt = rng.normals(rng.derive_seed(seed, 1), d)
     last_error = None
-    for attempt in range(max_tries):
+    for attempt in range(_MAX_DRAWS):
         a = entry_std * rng.normals(rng.derive_seed(seed, 0, attempt), m * d).reshape(
             m, d
         )
@@ -425,5 +374,5 @@ def random_pow_norm_objective(
         except AssumptionViolationError as err:
             last_error = err
     raise AssumptionViolationError(
-        f"no admissible matrix after {max_tries} draws: {last_error}"
+        f"no admissible matrix after {_MAX_DRAWS} draws: {last_error}"
     )

@@ -26,6 +26,9 @@ import numpy as np
 # table must exceed the working epsilon.
 GAP_SPARE_DIGITS = 20
 
+# Points of the uniform grid on which the factor map's derivative is bounded.
+_DERIVATIVE_GRID_POINTS = 10_000
+
 
 def _check_q(q):
     if not (isinstance(q, (int, np.integer)) and q >= 4):
@@ -105,20 +108,16 @@ class DerivativeBoundReport:
     holds: bool
 
 
-def contraction_map_derivative_bound(
-    q: int, grid_points: int = 10_000
-) -> DerivativeBoundReport:
+def contraction_map_derivative_bound(q: int) -> DerivativeBoundReport:
     """Grid check that the factor map has |derivative| <= 1/2 on [0, 1).
 
     Evaluates ``|(q-1) r**(q-2) - r**(2q-4) - (q-2) r**(q-3)| /
-    (1 - r**(q-1))**2`` on a uniform grid over [0, 1 - 1e-6].  The
-    denominator is formed as -expm1((q-1) log r) so it stays accurate where
-    r**(q-1) is close to 1.
+    (1 - r**(q-1))**2`` on a uniform grid of ``_DERIVATIVE_GRID_POINTS``
+    points over [0, 1 - 1e-6].  The denominator is formed as
+    -expm1((q-1) log r) so it stays accurate where r**(q-1) is close to 1.
     """
     q = _check_q(q)
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    r = np.linspace(0.0, 1.0 - 1e-6, grid_points)
+    r = np.linspace(0.0, 1.0 - 1e-6, _DERIVATIVE_GRID_POINTS)
     numer = np.abs((q - 1) * r ** (q - 2) - r ** (2 * q - 4) - (q - 2) * r ** (q - 3))
     with np.errstate(divide="ignore"):
         one_minus_pow = -np.expm1((q - 1) * np.log(r))

@@ -11,7 +11,6 @@ Each run owns its mutable state; traces are built once and treated as
 immutable afterwards.  Runs on a shared objective may proceed concurrently.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +38,9 @@ SCALAR_BOOTSTRAP_STEP = 1e-3
 
 NEWTON_RIDGE = 1e-12
 
+# A run whose error to its reference point exceeds this has diverged.
+_DIVERGENCE_CAP = 1e8
+
 # Rows per panel of the in-place BFGS update; its panel buffer takes at
 # most 65 * d doubles, 0.5 MB at d = 1000.
 BFGS_PANEL_ROWS = 64
@@ -61,15 +63,12 @@ class SolverConfig:
     step_size: float = 0.1
     max_iters: int = 10_000
     grad_tol: float = 0.0
-    divergence_cap: float = 1e8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be non-negative")
-        if self.divergence_cap <= 0:
-            raise ValueError("divergence_cap must be positive")
 
 
 @dataclass
@@ -130,7 +129,7 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     (when given) sees the last recorded loss and gradient norm and may
     return a stop reason; then the run stops as diverged at a non-finite
     loss, gradient norm or error, as converged at a gradient norm within
-    ``grad_tol``, and as diverged at an error above ``divergence_cap``.
+    ``grad_tol``, and as diverged at an error above ``_DIVERGENCE_CAP``.
     ``step(theta, loss, grad)`` returns the next iterate, or ``None`` when
     its secant denominator has broken down.  After each record,
     ``after(theta, grad, theta_next, grad_next)`` (when given) may return
@@ -165,7 +164,7 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
             return STOP_DIVERGED
         if grad_norms[count - 1] <= config.grad_tol:
             return STOP_GRAD_TOL
-        if errors[count - 1] > config.divergence_cap:
+        if errors[count - 1] > _DIVERGENCE_CAP:
             return STOP_DIVERGED
         return None
 
@@ -499,26 +498,3 @@ def run_scalar_bfgs(
 
     return _iterate(eval_at, starts, float(theta_ref), config, step)
 
-
-def gd_step_grid_search(objective, theta0, steps, config=None, theta_ref=None):
-    """Run gd-constant once per candidate step and pick the best.
-
-    "Best" is the smallest final error, ties broken by the smaller minimum
-    error along the trace.  Returns (best_step, {step: trace}) so callers
-    can apply their own criterion to the full traces.
-    """
-    steps = list(steps)
-    if not steps:
-        raise ValueError("need at least one candidate step")
-    config = config or SolverConfig()
-    traces = {}
-    for step in steps:
-        run_config = dataclasses.replace(config, step_size=step)
-        traces[step] = run_gd_constant(objective, theta0, run_config, theta_ref)
-
-    def quality(step):
-        final = traces[step].errors[-1]
-        return (final if np.isfinite(final) else np.inf, traces[step].min_error)
-
-    best = min(traces, key=quality)
-    return best, traces

@@ -262,6 +262,16 @@ class TestRadiusCommand:
     def test_rejects_short_grid(self, tmp_path):
         assert run_cli("radius", "--n-grid", "100,200", "--out", tmp_path / "x.csv") == 2
 
+    def test_rejects_repeated_sizes_without_writing(self, tmp_path):
+        # three entries but two distinct sizes: the slope would be fitted
+        # to a duplicated point
+        code = run_cli(
+            "radius", "--n-grid", "100,100,1000", "--trials", 3,
+            "--out", tmp_path / "radius.csv",
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("method", ["sgd", "scalar-bfgs"])
     def test_rejects_unusable_method_without_writing(self, tmp_path, method):
         code = run_cli(

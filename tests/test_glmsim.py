@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnbench import rng
+from qnbench.objectives import AssumptionViolationError
 from qnbench.glmsim import (
     GlmModelConfig,
     default_covariance_diagonal,
@@ -11,6 +12,7 @@ from qnbench.glmsim import (
     generate_dataset,
     high_snr_config,
     low_snr_config,
+    low_snr_population_objective,
     run_glm_method,
     run_radius_sweep,
     scalar_moment_ratio,
@@ -44,6 +46,52 @@ class TestConfig:
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         config = GlmModelConfig(2, 2, np.zeros(2), cov=cov)
         assert config.cov_sqrt @ config.cov_sqrt.T == pytest.approx(cov, rel=1e-12)
+
+
+class TestLowSnrPopulationObjective:
+    def test_scalar_value(self):
+        config = low_snr_config(1, 2, cov=np.ones(1), noise_std=0.0)
+        obj = low_snr_population_objective(config)
+        assert obj.value(np.array([1.0])) == pytest.approx(3.0, rel=1e-14)
+
+    def test_noise_floor_at_origin(self):
+        config = low_snr_config(3, 2, cov=np.ones(3), noise_std=1.3)
+        obj = low_snr_population_objective(config)
+        assert obj.value(np.zeros(3)) + config.noise_var == 1.3 ** 2
+
+    def test_p3_example(self):
+        config = low_snr_config(2, 3, cov=np.ones(2), noise_std=1.0)
+        obj = low_snr_population_objective(config)
+        loss = obj.value(np.array([1.0, 0.0])) + config.noise_var
+        assert loss == pytest.approx(16.0, rel=1e-14)
+
+    def test_even_in_theta(self):
+        cov = np.array([[1.09, 0.21], [0.21, 0.49]])
+        obj = low_snr_population_objective(low_snr_config(2, 2, cov=cov, noise_std=0.5))
+        theta = rng.normals(46, 2)
+        assert obj.value(theta) == obj.value(-theta)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_the_gaussian_moment_formula(self, p):
+        # E (x' theta)**(2p) = (2p-1)!! ||S theta||**(2p) for x ~ N(0, S S')
+        config = low_snr_config(4, p)
+        obj = low_snr_population_objective(config)
+        assert obj.q == 2 * p
+        assert obj.condition_number == pytest.approx(8.0, rel=1e-12)
+        coeff = {2: 3, 3: 15}[p]
+        for seed in range(10):
+            theta = rng.normals(rng.derive_seed(47, p, seed), 4)
+            expected = coeff * np.linalg.norm(config.cov_sqrt @ theta) ** (2 * p)
+            assert obj.value(theta) == pytest.approx(expected, rel=1e-14)
+
+    def test_rejects_high_snr(self):
+        with pytest.raises(ValueError, match="low SNR"):
+            low_snr_population_objective(high_snr_config(2, 2, seed=5))
+
+    def test_gram_floor_rejects_the_decaying_covariance_from_d_18(self):
+        low_snr_population_objective(low_snr_config(17, 2))
+        with pytest.raises(AssumptionViolationError):
+            low_snr_population_objective(low_snr_config(18, 2))
 
 
 class TestGenerateDataset:

@@ -7,12 +7,10 @@ from qnbench import glmsim, objectives, rng
 from qnbench.objectives import (
     AssumptionViolationError,
     EmpiricalGlmLoss,
-    LowSnrPopulationLoss,
     PowNormObjective,
     SingularHessianError,
     central_difference_gradient,
     central_difference_jacobian,
-    double_factorial,
     random_pow_norm_objective,
 )
 
@@ -126,7 +124,7 @@ class TestNewtonDirection:
                 obj = random_pow_norm_objective(d, 2 * d, q, seed=seed)
                 theta = obj.theta_opt + rng.normals(rng.derive_seed(seed, 1), d)
                 expected = obj.hessian_inverse(theta) @ obj.gradient(theta)
-                direction = obj.newton_direction(theta)
+                direction = obj.value_gradient_and_newton_direction(theta)[2]
                 scale = np.linalg.norm(expected)
                 assert np.linalg.norm(direction - expected) <= 1e-10 * scale
 
@@ -139,15 +137,10 @@ class TestNewtonDirection:
         theta = 1e-40 * rng.unit_vector(4, 92)
         with np.errstate(all="ignore"):
             assert not np.isfinite(obj.hessian_inverse(theta)).all()
-        direction = obj.newton_direction(theta)
+        direction = obj.value_gradient_and_newton_direction(theta)[2]
         assert np.isfinite(direction).all()
         expected = theta / (q - 1)
         assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
-
-    def test_singular_at_solution(self):
-        obj = random_pow_norm_objective(3, 6, 4, seed=19)
-        with pytest.raises(SingularHessianError):
-            obj.newton_direction(obj.theta_opt)
 
     @pytest.mark.parametrize("q", [4, 6, 10])
     def test_combined_evaluation_matches_separate_calls_to_the_bit(self, q):
@@ -155,11 +148,10 @@ class TestNewtonDirection:
             d = 2 + trial
             obj = random_pow_norm_objective(d, 2 * d, q, seed=rng.derive_seed(93, q, d))
             theta = obj.theta_opt + rng.normals(rng.derive_seed(94, q, d), d)
-            loss, grad, direction = obj.value_gradient_and_newton_direction(theta)
+            loss, grad, _direction = obj.value_gradient_and_newton_direction(theta)
             expected_loss, expected_grad = obj.value_and_gradient(theta)
             assert loss == expected_loss
             assert np.array_equal(grad, expected_grad)
-            assert np.array_equal(direction, obj.newton_direction(theta))
 
     def test_combined_evaluation_has_no_direction_at_solution(self):
         obj = random_pow_norm_objective(3, 6, 4, seed=19)
@@ -381,36 +373,6 @@ class TestEmpiricalGlmMoments:
                 assert loss.value(theta) == np.inf
                 assert loss.value_and_gradient(theta)[0] == np.inf
             assert np.isnan(loss.values(np.array([[np.nan, 0.0]]))[0])
-
-
-class TestLowSnrPopulationLoss:
-    def test_scalar_value(self):
-        loss = LowSnrPopulationLoss(np.eye(1), 2, 0.0)
-        assert loss.value(np.array([1.0])) == pytest.approx(3.0, rel=1e-14)
-
-    def test_noise_floor_at_origin(self):
-        loss = LowSnrPopulationLoss(np.eye(3), 2, 1.7)
-        assert loss.value(np.zeros(3)) == 1.7
-
-    def test_p3_example(self):
-        loss = LowSnrPopulationLoss(np.eye(2), 3, 1.0)
-        assert loss.value(np.array([1.0, 0.0])) == pytest.approx(16.0, rel=1e-14)
-
-    def test_even_in_theta(self):
-        sqrt = np.array([[1.0, 0.3], [0.0, 0.7]])
-        loss = LowSnrPopulationLoss(sqrt, 2, 0.5)
-        theta = rng.normals(46, 2)
-        assert loss.value(theta) == loss.value(-theta)
-
-
-class TestDoubleFactorial:
-    @pytest.mark.parametrize("k,expected", [(-1, 1), (0, 1), (1, 1), (3, 3), (5, 15), (7, 105)])
-    def test_values(self, k, expected):
-        assert double_factorial(k) == expected
-
-    def test_rejects_positive_even(self):
-        with pytest.raises(ValueError):
-            double_factorial(4)
 
 
 class TestDifferenceOracles:

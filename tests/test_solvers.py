@@ -24,7 +24,6 @@ from qnbench.solvers import (
     STOPS_INTERRUPTED,
     SolverConfig,
     bfgs_update,
-    gd_step_grid_search,
     initial_inverse_hessian,
     run_bfgs,
     run_gd_constant,
@@ -90,12 +89,12 @@ class TestGdConstant:
         # constant-step GD after 1000 iterations trails BFGS after 40
         obj = zero_opt_instance(10, 4, seed=4)
         theta0 = rng.normals(5, 10)
-        _, gd_traces = gd_step_grid_search(
-            obj, theta0, [10.0 ** -k for k in range(1, 7)],
-            SolverConfig(max_iters=1000), obj.theta_opt,
-        )
+        gd_traces = [
+            run_gd_constant(obj, theta0, SolverConfig(step_size=10.0 ** -k, max_iters=1000))
+            for k in range(1, 7)
+        ]
         bfgs = run_bfgs(obj, theta0, None, SolverConfig(max_iters=40))
-        best_gd_error = min(t.errors[-1] for t in gd_traces.values())
+        best_gd_error = min(t.errors[-1] for t in gd_traces)
         assert best_gd_error > bfgs.errors[-1]
 
     def test_rejects_bad_step(self):
@@ -128,11 +127,10 @@ class TestGdPolyak:
         hits = np.nonzero(polyak.errors <= 1e-6)[0]
         assert hits.size > 0
         polyak_iters = int(hits[0])
-        _, gd_traces = gd_step_grid_search(
-            obj, theta0, [10.0 ** -k for k in range(1, 7)],
-            SolverConfig(max_iters=10_000), obj.theta_opt,
-        )
-        for trace in gd_traces.values():
+        for k in range(1, 7):
+            trace = run_gd_constant(
+                obj, theta0, SolverConfig(step_size=10.0 ** -k, max_iters=10_000)
+            )
             gd_hits = np.nonzero(trace.errors <= 1e-6)[0]
             assert gd_hits.size == 0 or int(gd_hits[0]) > polyak_iters
 
@@ -202,10 +200,6 @@ class TestNewton:
             def value_and_gradient(self, theta):
                 calls.append("value_and_gradient")
                 return super().value_and_gradient(theta)
-
-            def newton_direction(self, theta):
-                calls.append("newton_direction")
-                return super().newton_direction(theta)
 
             def value_gradient_and_newton_direction(self, theta):
                 calls.append("combined")
@@ -725,18 +719,3 @@ class TestTraceShape:
         obj = random_pow_norm_objective(2, 4, 4, seed=81)
         trace = run_gd_constant(obj, obj.theta_opt, SolverConfig(step_size=0.1))
         assert trace.error_ratios().size == 0
-
-
-class TestGridSearch:
-    def test_returns_step_from_grid(self):
-        obj = zero_opt_instance(3, 4, seed=82)
-        steps = [0.1, 0.01]
-        best, traces = gd_step_grid_search(
-            obj, np.ones(3), steps, SolverConfig(max_iters=50), obj.theta_opt
-        )
-        assert best in steps
-        assert set(traces) == set(steps)
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            gd_step_grid_search(scalar_quartic(), np.array([1.0]), [], SolverConfig())
