@@ -45,7 +45,6 @@ from .glmsim import (
     RadiusSweepResult,
     RadiusTrialRow,
     early_stop_by_validation,
-    empirical_optimum_scalar,
     fit_loglog_slope,
     generate_dataset,
     high_snr_config,

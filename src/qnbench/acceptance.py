@@ -128,7 +128,7 @@ def closed_form_inverse():
         if obj.condition_number > 100:
             continue
         theta = obj.theta_opt + rng.normals(4000 + seed, d)
-        if np.linalg.norm(obj.residual(theta)) < 1e-3:
+        if obj.value(theta) ** (1.0 / obj.q) < 1e-3:
             continue
         count += 1
         product = obj.hessian_inverse(theta) @ obj.hessian(theta)
@@ -144,7 +144,7 @@ def difference_oracles():
         q = (4, 6)[seed % 2]
         obj = objectives.random_pow_norm_objective(d, 2 * d, q, seed=5000 + seed)
         theta = obj.theta_opt + np.clip(rng.normals(6000 + seed, d), -2.0, 2.0)
-        if np.linalg.norm(obj.residual(theta)) < 1e-3:
+        if obj.value(theta) ** (1.0 / obj.q) < 1e-3:
             continue
         grad = obj.gradient(theta)
         fd_grad = objectives.central_difference_gradient(obj.value, theta)

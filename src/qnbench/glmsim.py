@@ -185,23 +185,6 @@ def scalar_moment_ratio(loss: EmpiricalGlmLoss) -> float:
     return float(np.sum(loss.y * x ** loss.p)) / denom
 
 
-def empirical_optimum_scalar(loss: EmpiricalGlmLoss, sign_hint: float = 1.0) -> float:
-    """Real p-th root of the moment ratio: the nonzero minimizer when it exists.
-
-    For even p a positive ratio has two real roots; the one matching
-    ``sign_hint`` is returned.  A negative ratio with even p has no nonzero
-    stationary point, so the origin (0.0) is returned.
-    """
-    ratio = scalar_moment_ratio(loss)
-    p = loss.p
-    if p % 2 == 1:
-        return float(np.copysign(abs(ratio) ** (1.0 / p), ratio))
-    if ratio < 0.0:
-        return 0.0
-    root = ratio ** (1.0 / p)
-    return float(root if sign_hint >= 0 else -root)
-
-
 @dataclass(frozen=True)
 class EarlyStopChoice:
     """The chosen trace index, its validation loss, and the validation loss

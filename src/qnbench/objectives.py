@@ -89,12 +89,15 @@ def _glm_moments(x, y, p: int):
 class PowNormObjective:
     """Convex objective f(theta) = ||A theta - b||**q with integer q >= 4.
 
-    The target vector is always built as ``b = A @ theta_opt`` from the
-    supplied solution, so the problem is realizable by construction: the
-    minimum value is exactly zero and (with A'A positive definite)
-    ``theta_opt`` is the unique minimizer.  ``(A'A)^{-1}`` is computed
-    once here because the closed-form Hessian inverse reuses it at every
-    point.
+    The target is ``b = A @ theta_opt`` for the supplied solution, so the
+    problem is realizable by construction: the minimum value is exactly
+    zero and (with A'A positive definite) ``theta_opt`` is the unique
+    minimizer.  ``b`` is never stored: every evaluation works in the error
+    ``e = theta - theta_opt`` through the Gram matrix ``G = A'A``, with
+    ``A theta - b = A e``, ``||A e||**2 = e'Ge`` and ``A'(A e) = G e``.
+    One d-by-d matvec replaces two m-by-d ones, and no residual cancels
+    near the optimum.  ``A`` is used only to build ``G`` and ``G^{-1}``,
+    which the closed-form Hessian inverse reuses at every point.
     """
 
     def __init__(self, a, theta_opt, q: int):
@@ -107,7 +110,6 @@ class PowNormObjective:
         self.m, self.d = a.shape
         self.q = int(q)
         self.theta_opt = _as_vector(theta_opt, self.d, "theta_opt")
-        self.b = a @ self.theta_opt
 
         self._gram = a.T @ a
         # ascending eigenvalues of A'A: the squared singular values of A
@@ -123,79 +125,73 @@ class PowNormObjective:
         # the closed-form Hessian inverse is symmetric to the bit
         self._gram_inv = 0.5 * (gram_inv + gram_inv.T)
 
-    def residual(self, theta) -> np.ndarray:
-        theta = _as_vector(theta, self.d)
-        return self.a @ theta - self.b
+    def _error_terms(self, theta):
+        """``(e, G e, ||A theta - b||)`` with ``e = theta - theta_opt``; the
+        norm is ``sqrt(e'Ge)``, a numpy float, so an overflowing power of it
+        is inf (a diverged run's record), not a Python OverflowError.  A
+        quadratic form that rounds below zero reads as zero."""
+        e = _as_vector(theta, self.d) - self.theta_opt
+        ge = self._gram @ e
+        return e, ge, np.sqrt(max(float(e @ ge), 0.0))
 
     def value(self, theta) -> float:
-        return float(np.linalg.norm(self.residual(theta)) ** self.q)
+        return float(self._error_terms(theta)[2] ** self.q)
 
     def gradient(self, theta) -> np.ndarray:
         return self.value_and_gradient(theta)[1]
 
     def value_and_gradient(self, theta):
-        r = self.residual(theta)
-        # a numpy float, so an overflowing power is inf (a diverged run's
-        # record), not a Python OverflowError
-        nr = np.linalg.norm(r)
-        grad = self.q * nr ** (self.q - 2) * (self.a.T @ r)
-        return float(nr ** self.q), grad
+        _e, ge, nr = self._error_terms(theta)
+        return float(nr ** self.q), self.q * nr ** (self.q - 2) * ge
 
     def hessian(self, theta) -> np.ndarray:
         q = self.q
-        r = self.residual(theta)
-        nr = np.linalg.norm(r)
+        _e, ge, nr = self._error_terms(theta)
         if nr == 0.0:
             if q == 4:
                 raise SingularHessianError(
                     "Hessian is a 0**0 limit at the optimum for q = 4"
                 )
             return np.zeros((self.d, self.d))
-        atr = self.a.T @ r
         return q * nr ** (q - 2) * self._gram + q * (q - 2) * nr ** (q - 4) * np.outer(
-            atr, atr
+            ge, ge
         )
 
     def hessian_inverse(self, theta) -> np.ndarray:
         """Closed-form inverse Hessian via a rank-one (Sherman-Morrison) update.
 
-        Equals ``(A'A)^{-1} / (q ||r||^{q-2})
-        - (q-2) dd' / (q (q-1) ||r||^q)`` with ``d = theta - theta_opt``.
+        Equals ``G^{-1} / (q ||r||^{q-2}) - (q-2) ee' / (q (q-1) ||r||^q)``
+        with ``e = theta - theta_opt``, ``G = A'A`` and ``||r||**2 = e'Ge``.
         """
         q = self.q
-        theta = _as_vector(theta, self.d)
-        r = self.a @ theta - self.b
-        nr = np.linalg.norm(r)
+        e, _ge, nr = self._error_terms(theta)
         if nr == 0.0:
             raise SingularHessianError("Hessian is singular at the optimum")
-        dev = theta - self.theta_opt
-        return self._gram_inv / (q * nr ** (q - 2)) - (q - 2) * np.outer(dev, dev) / (
+        return self._gram_inv / (q * nr ** (q - 2)) - (q - 2) * np.outer(e, e) / (
             q * (q - 1) * nr ** q
         )
 
     def value_gradient_and_newton_direction(self, theta):
         """``value_and_gradient(theta)`` and the Newton direction, from one
-        residual: two matvecs with ``A`` where separate calls take four.
+        evaluation of ``e`` and ``G e``: one matvec with ``G`` and one with
+        ``G^{-1}`` per point.
 
-        The direction is ``(A'A)^{-1} A'r - (q-2)/(q-1) d (d'A'r) / ||r||^2``
-        with ``d = theta - theta_opt``: the powers of ``||r||`` cancel, and
+        The direction is ``G^{-1}(G e) - (q-2)/(q-1) e (e'G e) / ||r||^2``
+        with ``e = theta - theta_opt``: the powers of ``||r||`` cancel, and
         both factors of the inner product are divided by ``||r||`` before
-        they meet, so it stays finite wherever ``theta`` is.  At ``r = 0``,
+        they meet, so it stays finite wherever ``theta`` is.  It is computed
+        as written, not as its analytic value ``e / (q-1)``.  At ``r = 0``,
         where the Hessian is singular and the gradient exactly zero, it is
         ``None``.  Loss and gradient are the same bits as
         ``value_and_gradient``'s.
         """
         q = self.q
-        theta = _as_vector(theta, self.d)
-        r = self.a @ theta - self.b
-        nr = np.linalg.norm(r)
-        atr = self.a.T @ r
-        loss, grad = float(nr ** q), q * nr ** (q - 2) * atr
+        e, ge, nr = self._error_terms(theta)
+        loss, grad = float(nr ** q), q * nr ** (q - 2) * ge
         if nr == 0.0:
             return loss, grad, None
-        dev = theta - self.theta_opt
-        coeff = (q - 2) / (q - 1) * float((dev / nr) @ (atr / nr))
-        return loss, grad, self._gram_inv @ atr - coeff * dev
+        coeff = (q - 2) / (q - 1) * float((e / nr) @ (ge / nr))
+        return loss, grad, self._gram_inv @ ge - coeff * e
 
 
 class EmpiricalGlmLoss:

@@ -280,9 +280,9 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
 
     Uses the objective's ``value_gradient_and_newton_direction`` when it
     provides one (the pow-norm family's cancelled closed form, from the
-    residual its loss and gradient take), keeping the direction at the
-    last evaluated point for the step from it; otherwise an LU solve with
-    the exact Hessian (see ``_solve_symmetric``).
+    ``e`` and ``G e`` its loss and gradient take), keeping the direction
+    at the last evaluated point for the step from it; otherwise an LU
+    solve with the exact Hessian (see ``_solve_symmetric``).
     """
     config = config or SolverConfig()
     with_direction = getattr(objective, "value_gradient_and_newton_direction", None)

@@ -7,7 +7,6 @@ from qnbench.glmsim import (
     GlmModelConfig,
     default_covariance_diagonal,
     early_stop_by_validation,
-    empirical_optimum_scalar,
     fit_loglog_slope,
     generate_dataset,
     high_snr_config,
@@ -153,41 +152,20 @@ class TestSplit:
 
 
 class TestScalarOptimum:
-    def test_noiseless_recovery(self):
-        config = low_snr_config(1, 2, noise_std=0.0)
-        config.theta_star = np.array([0.5])
-        loss = generate_dataset(config, 200, seed=18)
-        assert empirical_optimum_scalar(loss) == pytest.approx(0.5, abs=1e-12)
-        assert empirical_optimum_scalar(loss, sign_hint=-1.0) == pytest.approx(
-            -0.5, abs=1e-12
-        )
-
-    def test_zero_labels_give_origin(self):
-        loss_x = rng.normals(19, 50)
-        from qnbench.objectives import EmpiricalGlmLoss
-
-        loss = EmpiricalGlmLoss(loss_x, np.zeros(50), 2)
-        assert empirical_optimum_scalar(loss) == 0.0
-
     def test_even_power_negative_ratio_gives_origin(self):
+        # a negative ratio leaves the origin the even-power loss's only
+        # stationary point
         from qnbench.objectives import EmpiricalGlmLoss
 
         loss = EmpiricalGlmLoss(np.ones(4), -np.ones(4), 2)
         assert scalar_moment_ratio(loss) < 0
-        assert empirical_optimum_scalar(loss) == 0.0
-
-    def test_odd_power_keeps_ratio_sign(self):
-        from qnbench.objectives import EmpiricalGlmLoss
-
-        loss = EmpiricalGlmLoss(np.ones(4), -8.0 * np.ones(4), 3)
-        assert empirical_optimum_scalar(loss) == pytest.approx(-2.0, rel=1e-12)
 
     def test_all_zero_features_rejected(self):
         from qnbench.objectives import EmpiricalGlmLoss
 
         loss = EmpiricalGlmLoss(np.zeros(5), np.ones(5), 2)
         with pytest.raises(ValueError):
-            empirical_optimum_scalar(loss)
+            scalar_moment_ratio(loss)
 
     def test_low_snr_magnitude_shrinks_at_quarter_rate(self):
         # the stationary scale |ratio|^(1/p) ~ n^(-1/4): median over 40
