@@ -72,17 +72,20 @@ def bfgs_ratio_exactness():
 
 def replay_bfgs(obj, trace):
     """Replay the updates of a ``run_bfgs`` run seeded with the exact inverse
-    Hessian, from the trace's iterates: one row ``(s'u, ||H u - s|| / ||s||,
-    max |H - H'|)`` per update recorded in ``step_info["curvature"]``, with
-    ``H`` the matrix after that update."""
+    Hessian, from the trace's iterates and with the run's arithmetic (its
+    pending pairs, derived directions and flushes): one row ``(s'u,
+    ||H u - s|| / ||s||, max |h - h'|)`` per update recorded in
+    ``step_info["curvature"]``, with ``H`` the approximation after that
+    update and ``h`` its dense part, which each flush writes."""
     iterates = trace.iterates[: len(trace.step_info["curvature"]) + 1]
-    h = obj.hessian_inverse(iterates[0])
     grads = np.array([obj.gradient(theta) for theta in iterates])
+    inverse = solvers._InverseHessian(obj.hessian_inverse(iterates[0]))
+    direction = inverse.times(grads[0])
     rows = []
-    for s, u in zip(np.diff(iterates, axis=0), np.diff(grads, axis=0)):
-        solvers.bfgs_update(h, s, u)
-        residual = float(np.linalg.norm(h @ u - s) / np.linalg.norm(s))
-        rows.append((float(s @ u), residual, float(np.max(np.abs(h - h.T)))))
+    for s, u, grad in zip(np.diff(iterates, axis=0), np.diff(grads, axis=0), grads[1:]):
+        direction = inverse.update(s, u, direction, grad)
+        residual = float(np.linalg.norm(inverse.times(u) - s) / np.linalg.norm(s))
+        rows.append((float(s @ u), residual, float(np.max(np.abs(inverse.h - inverse.h.T)))))
     return np.array(rows).reshape(-1, 3)
 
 

@@ -120,7 +120,15 @@ class PowNormObjective:
                 f"the positivity floor {GRAM_POSITIVITY_FLOOR:g}"
             )
         self.condition_number = float(np.sqrt(eigs[-1] / eigs[0]))
-        gram_inv = np.linalg.inv(self._gram)
+        # the floor tests a rounded eigenvalue, not conditioning, so an
+        # ill-conditioned Gram matrix can pass it and still be singular to LU
+        try:
+            gram_inv = np.linalg.inv(self._gram)
+        except np.linalg.LinAlgError as err:
+            raise AssumptionViolationError(
+                f"A'A is numerically singular (condition number of A "
+                f"{self.condition_number:.3e}): {err}"
+            ) from err
         # the LU inverse rounds asymmetrically; restore exact symmetry so
         # the closed-form Hessian inverse is symmetric to the bit
         self._gram_inv = 0.5 * (gram_inv + gram_inv.T)

@@ -44,8 +44,13 @@ _DIVERGENCE_CAP = 1e8
 # Rows per panel of the in-place BFGS update; its panel buffer takes at
 # most 65 * d doubles, 0.5 MB at d = 1000.
 BFGS_PANEL_ROWS = 64
+# Updates a BFGS run holds as factor pairs before one panel pass adds them
+# to its dense approximation; the pairs take 2 * 16 * d doubles, 0.25 MB at
+# d = 1000.
+BFGS_PENDING_PAIRS = 16
 SQRT_HALF = math.sqrt(0.5)
-SIGNS = np.array([[1.0], [-1.0]])
+# The signs of the terms p p' and m m' of each update pair.
+SIGNS = np.tile([1.0, -1.0], BFGS_PENDING_PAIRS)
 
 
 # The vector methods ``run_method`` accepts, in report order.
@@ -310,6 +315,57 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     return _iterate(evaluate, [start], theta_ref, config, step)
 
 
+def _update_factors(s, u, w):
+    """The balanced factors of one BFGS update, given ``w = H u``: a
+    ``(2, d)`` array of rows ``p, m`` with ``H_new = H + p p' - m m'``, or
+    ``None`` when the update changes nothing (``a = 0``); see
+    ``bfgs_update`` for the formulas and what it raises."""
+    curvature = float(s.dot(u))
+    if curvature == 0.0:
+        raise ZeroDivisionError("curvature s'u is zero")
+    rho = 1.0 / curvature
+    coeff = rho + rho * rho * float(u.dot(w))
+    if not (math.isfinite(rho) and math.isfinite(coeff)):
+        raise OverflowError(f"update coefficients overflow at s'u = {curvature:.3e}")
+    a = 0.5 * coeff * s - rho * w
+    norm_a = math.sqrt(a.dot(a))
+    if norm_a == 0.0:
+        return None
+    lam = math.sqrt(norm_a / math.sqrt(s.dot(s)))
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise OverflowError(f"update scale overflows at s'u = {curvature:.3e}")
+    scaled_s = (lam * SQRT_HALF) * s
+    scaled_a = (SQRT_HALF / lam) * a
+    return np.array((scaled_s + scaled_a, scaled_s - scaled_a))
+
+
+def flush_pairs(h, pairs) -> np.ndarray:
+    """Add ``sum(p p' - m m')`` over the rows ``p_1, m_1, p_2, m_2, ...``
+    of ``pairs`` to ``h`` in place, and return ``h``.
+
+    Each panel of ``BFGS_PANEL_ROWS`` rows gets ``pairs' right``, with
+    ``right`` the rows with each ``m`` negated, from one BLAS product
+    (inner dimension the number of rows) into one reused panel buffer, so
+    the flush allocates no d-by-d temporary.  Entry ``(i, j)`` sums
+    ``sign_r l_ri l_rj`` over the rows ``l_r`` and ``(j, i)`` the same
+    products in the same order, so a bit-symmetric ``h`` stays
+    bit-symmetric, fused multiply-add or not; a one-row panel would be a
+    matrix-vector product with other rounding, so a last panel of one row
+    joins the one before.
+    """
+    right = pairs * SIGNS[: len(pairs), None]
+    size = len(h)
+    starts = list(range(0, size, BFGS_PANEL_ROWS))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    panel = np.empty((min(size, BFGS_PANEL_ROWS + 1), size))
+    for start, stop in zip(starts, starts[1:] + [size]):
+        out = panel[: stop - start]
+        np.matmul(pairs[:, start:stop].T, right, out=out)
+        h[start:stop] += out
+    return h
+
+
 def bfgs_update(h, s, u) -> np.ndarray:
     """Double-projection rank-two update of the inverse-Hessian approximation,
     in place.
@@ -320,47 +376,65 @@ def bfgs_update(h, s, u) -> np.ndarray:
     ``a = coeff/2 s - rho w``, and in balanced form ``H + p p' - m m'``
     for ``p, m = (lam s +- a/lam) / sqrt(2)`` with ``lam^2 = ||a||/||s||``,
     so ``p`` and ``m`` are of one size and their difference does not
-    cancel.  Each panel of ``BFGS_PANEL_ROWS`` rows gets ``[p m] [p; -m]``
-    from one BLAS product into a reused panel buffer, so the update
-    allocates no d-by-d temporary.  Entry ``(i, j)`` is
-    ``p_i p_j - m_i m_j`` and ``(j, i)`` the same products in the same
-    order, so a bit-symmetric ``h`` stays bit-symmetric, fused
-    multiply-add or not; a one-row panel would be a matrix-vector product
-    with other rounding, so a last panel of one row joins the one before.
-    Raises ``ZeroDivisionError`` at zero curvature ``s'u`` and
+    cancel.  ``flush_pairs`` adds the pair, so a bit-symmetric ``h`` stays
+    bit-symmetric.  ``run_bfgs`` makes the same update from the same
+    factors, but holds up to ``BFGS_PENDING_PAIRS`` of them before it
+    adds them.  Raises ``ZeroDivisionError`` at zero curvature ``s'u`` and
     ``OverflowError`` when ``1/s'u``, the ``s s'`` coefficient or ``lam``
     is not finite (or ``lam`` is zero); ``h`` is left untouched in both
     cases.
     """
-    curvature = float(s.dot(u))
-    if curvature == 0.0:
-        raise ZeroDivisionError("curvature s'u is zero")
-    rho = 1.0 / curvature
-    w = h.dot(u)
-    coeff = rho + rho * rho * float(u.dot(w))
-    if not (math.isfinite(rho) and math.isfinite(coeff)):
-        raise OverflowError(f"update coefficients overflow at s'u = {curvature:.3e}")
-    a = 0.5 * coeff * s - rho * w
-    norm_a = math.sqrt(a.dot(a))
-    if norm_a == 0.0:
-        return h
-    lam = math.sqrt(norm_a / math.sqrt(s.dot(s)))
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise OverflowError(f"update scale overflows at s'u = {curvature:.3e}")
-    scaled_s = (lam * SQRT_HALF) * s
-    scaled_a = (SQRT_HALF / lam) * a
-    factors = np.array((scaled_s + scaled_a, scaled_s - scaled_a))  # rows p, m
-    right = factors * SIGNS  # rows p, -m
-    size = len(s)
-    starts = list(range(0, size, BFGS_PANEL_ROWS))
-    if len(starts) > 1 and size - starts[-1] == 1:
-        starts.pop()
-    panel = np.empty((min(size, BFGS_PANEL_ROWS + 1), size))
-    for start, stop in zip(starts, starts[1:] + [size]):
-        out = panel[: stop - start]
-        np.matmul(factors[:, start:stop].T, right, out=out)
-        h[start:stop] += out
+    factors = _update_factors(s, u, h.dot(u))
+    if factors is not None:
+        flush_pairs(h, factors)
     return h
+
+
+class _InverseHessian:
+    """A BFGS run's inverse-Hessian approximation ``H = h + sum(p p' - m m')``:
+    a dense matrix ``h`` and up to ``BFGS_PENDING_PAIRS`` updates pending as
+    the rows ``p, m`` of ``pairs``.
+
+    A step makes one pass over ``h``: ``times`` forms ``H g`` from it and
+    the pending pairs, and ``update`` derives ``H u`` and the next
+    direction from that one product.  Every ``BFGS_PENDING_PAIRS`` updates
+    ``flush_pairs`` adds the pending pairs to ``h`` in one pass.
+    """
+
+    def __init__(self, h):
+        self.h = h
+        self.pairs = np.empty((len(SIGNS), len(h)))
+        self.pending = 0  # rows of pairs in use
+
+    def times(self, g) -> np.ndarray:
+        """``H g``."""
+        out = self.h.dot(g)
+        if self.pending:
+            pairs = self.pairs[: self.pending]
+            out += pairs.T.dot(SIGNS[: self.pending] * pairs.dot(g))
+        return out
+
+    def update(self, s, u, direction, g) -> np.ndarray:
+        """Apply the update for step ``s`` and gradient change ``u``, given
+        the last direction ``H g_prev`` and the new gradient
+        ``g = g_prev + u``, and return the new direction ``H_new g``.
+
+        With ``v = H g``, ``H u = v - direction`` and
+        ``H_new g = v + p (p'g) - m (m'g)``, so ``v`` is the update's only
+        product with ``h``.  Raises as ``bfgs_update`` does and then leaves
+        the state untouched; an update that changes nothing returns ``v``.
+        """
+        v = self.times(g)
+        factors = _update_factors(s, u, v - direction)
+        if factors is None:
+            return v
+        v += factors.T.dot(SIGNS[:2] * factors.dot(g))
+        self.pairs[self.pending : self.pending + 2] = factors
+        self.pending += 2
+        if self.pending == len(self.pairs):
+            flush_pairs(self.h, self.pairs)
+            self.pending = 0
+        return v
 
 
 def initial_inverse_hessian(objective, theta, ridge: float = NEWTON_RIDGE) -> np.ndarray:
@@ -383,7 +457,10 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     ``h0`` defaults to the exact inverse Hessian at ``theta0``, the choice
     under which the contraction-factor theory is exact; the run updates its
     own copy in place.  The default seed is symmetric to the bit, and the
-    update keeps it so (see ``bfgs_update``).  Curvature at or below
+    updates keep it so (see ``flush_pairs``).  The run holds its
+    approximation as a ``_InverseHessian``: one product with the dense
+    matrix per step, and the pending updates added to it every
+    ``BFGS_PENDING_PAIRS`` steps.  Curvature at or below
     ``CURVATURE_FLOOR * ||s|| ||u||``, or so small that the update's
     coefficients overflow, stops the run with a recorded secant breakdown,
     or as diverged when the new iterate's loss, gradient norm or error is
@@ -403,12 +480,16 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
             raise ValueError("h0 must be symmetric")
         h = h0.copy()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
+    inverse = _InverseHessian(h)
+    with np.errstate(all="ignore"):  # a non-finite start: _iterate stops the run
+        direction = inverse.times(start[2])
     curvatures = []
 
-    def step(theta, _loss, grad):
-        return theta - h @ grad
+    def step(theta, _loss, _grad):
+        return theta - direction
 
     def after(theta, grad, theta_next, grad_next):
+        nonlocal direction
         s = theta_next - theta
         u = grad_next - grad
         curvature = float(s @ u)
@@ -417,7 +498,7 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
         ):
             return STOP_SECANT_BREAKDOWN
         try:
-            bfgs_update(h, s, u)
+            direction = inverse.update(s, u, direction, grad_next)
         except OverflowError:
             return STOP_SECANT_BREAKDOWN
         curvatures.append(curvature)

@@ -54,7 +54,7 @@ class TestPowNormValue:
             u = np.linalg.qr(rng.normals(seed, 9).reshape(3, 3))[0]
             try:
                 obj = PowNormObjective(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T, np.zeros(3), 4)
-            except (AssumptionViolationError, np.linalg.LinAlgError):
+            except AssumptionViolationError:
                 continue
             value, grad = obj.value_and_gradient(1e-3 * u[:, 2])
             assert value >= 0.0 and np.isfinite(grad).all()
@@ -210,6 +210,13 @@ class TestPowNormConstruction:
         a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(AssumptionViolationError):
             PowNormObjective(a, np.zeros(2), 4)
+
+    def test_gram_singular_to_lu_is_an_assumption_violation(self):
+        # cond(A) = 5e8: this rotation passes the Gram floor, but LU finds
+        # A'A singular (on OpenBLAS 0.3.31, as do 4 more of seeds 0..59)
+        u = np.linalg.qr(rng.normals(3, 9).reshape(3, 3))[0]
+        with pytest.raises(AssumptionViolationError, match="numerically singular"):
+            PowNormObjective(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T, np.zeros(3), 4)
 
     def test_target_is_constructed_from_solution(self):
         # b = A theta_opt is implied by the solution, not stored
@@ -439,3 +446,21 @@ class TestRandomInstances:
     def test_entry_scale(self):
         obj = random_pow_norm_objective(4, 400, 4, seed=52, entry_std=2.0)
         assert 1.5 <= np.std(obj.a) <= 2.5
+
+    def test_redraws_a_matrix_singular_to_lu(self, monkeypatch):
+        # the first draw's inverse fails as an ill-conditioned one's does,
+        # and the instance is built from the second draw
+        inv = np.linalg.inv
+        calls = []
+
+        def singular_once(matrix):
+            calls.append(matrix)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_once)
+        obj = random_pow_norm_objective(3, 6, 4, seed=51)
+        assert len(calls) == 2
+        second = rng.normals(rng.derive_seed(51, 0, 1), 18).reshape(6, 3)
+        assert np.array_equal(obj.a, second)
