@@ -26,6 +26,7 @@ import csv
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -138,12 +139,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
+# cells that csv.reader would split, or read as the end of a row, unless quoted
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(cell: str) -> str:
+    if _NEEDS_QUOTES.search(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(column):
+    """A column's cells as CSV text: float arrays by ``repr`` (a round
+    trip), integer arrays by ``str``, anything else cell by cell through
+    ``_fmt``, quoted where needed."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(_quoted, map(_fmt, column))
+
+
+def _write_csv(path: Path, header, blocks):
+    """Write ``header`` then each block, a list of equal-length columns
+    (one per header name), as rows.
+
+    Every block is checked before the file is opened, so a ragged block
+    leaves no file behind.
+    """
+    for number, block in enumerate(blocks):
+        lengths = [len(column) for column in block]
+        if len(block) != len(header) or len(set(lengths)) > 1:
+            raise ValueError(
+                f"CSV block {number}: columns of lengths {lengths} "
+                f"for {len(header)} header names"
+            )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        handle.write(",".join(map(_quoted, header)) + "\n")
+        for block in blocks:
+            rows = list(map(",".join, zip(*map(_cells, block))))
+            rows.append("")  # ends the last row
+            handle.write("\n".join(rows))
 
 
 def _write_manifest(out: Path, command: str, params: dict, extras: dict | None = None):
@@ -169,7 +205,9 @@ FACTORS_SPEC = [("q", "int", 4), ("k-max", "int", 40), ("out", "str", "factors.c
 def cmd_factors(params) -> int:
     out = _out_path(params["out"])
     rows = contraction_gap_table(params["q"], params["k-max"])
-    _write_csv(out, ["k", "factor", "fixed_point", "abs_gap", "envelope"], rows)
+    _write_csv(
+        out, ["k", "factor", "fixed_point", "abs_gap", "envelope"], [list(zip(*rows))]
+    )
     _write_manifest(out, "factors", params)
     return EXIT_OK
 
@@ -216,29 +254,30 @@ def cmd_population(params) -> int:
     config = SolverConfig(step_size=params["step"], max_iters=iters)
     runs = {method: run_method(method, objective, theta0, config) for method in METHODS}
 
-    rows = []
-    for method, trace in runs.items():
-        for k in range(len(trace)):
-            rows.append(
-                (method, k, trace.errors[k], trace.losses[k], trace.grad_norms[k])
-            )
+    blocks = [
+        [[method] * len(trace), np.arange(len(trace)), trace.errors, trace.losses,
+         trace.grad_norms]
+        for method, trace in runs.items()
+    ]
     # exact theoretical BFGS overlay: same starting error, factors r_k
     bfgs_trace = runs["bfgs"]
-    factors = contraction_sequence(q, max(len(bfgs_trace) - 1, 1)).factors
+    n = len(bfgs_trace)
+    factors = contraction_sequence(q, max(n - 1, 1)).factors
     err = bfgs_trace.errors[0]
     loss0 = bfgs_trace.losses[0]
     grad0 = bfgs_trace.grad_norms[0]
+    errors, losses, grad_norms = [], [], []
     shrink = 1.0
-    for k in range(len(bfgs_trace)):
-        rows.append(
-            ("bfgs-theory", k, err * shrink, loss0 * shrink ** q,
-             grad0 * shrink ** (q - 1))
-        )
+    for k in range(n):
+        errors.append(err * shrink)
+        losses.append(loss0 * shrink ** q)
+        grad_norms.append(grad0 * shrink ** (q - 1))
         if k < len(factors):
             shrink *= factors[k]
+    blocks.append([["bfgs-theory"] * n, np.arange(n), errors, losses, grad_norms])
 
     out = _out_path(params["out"])
-    _write_csv(out, ["method", "k", "error_norm", "loss", "grad_norm"], rows)
+    _write_csv(out, ["method", "k", "error_norm", "loss", "grad_norm"], blocks)
     _write_manifest(
         out,
         "population",
@@ -284,7 +323,7 @@ def cmd_empirical(params) -> int:
         raise ValueError("need at least one trial")
     config = _glm_config(params["regime"], params["d"], params["p"], params["seed"])
     solver = SolverConfig(step_size=params["gd-step"], max_iters=params["iters"])
-    rows = []
+    blocks = []  # one per run: arrays, formatted only once the last run is done
     interrupted = []  # runs ending in divergence or secant breakdown
     for trial in range(params["trials"]):
         data_seed = rng.derive_seed(params["seed"], trial)
@@ -300,24 +339,19 @@ def cmd_empirical(params) -> int:
             if trace.stop_reason in STOPS_INTERRUPTED:
                 interrupted.append(f"{method}/{trial}:{trace.stop_reason}")
             choice = early_stop_by_validation(trace, val)
-            for k in range(len(trace)):
-                rows.append(
-                    (
-                        method,
-                        trial,
-                        k,
-                        trace.errors[k],
-                        trace.losses[k],
-                        choice.losses[k],
-                        1 if k == choice.index else 0,
-                    )
-                )
+            n = len(trace)
+            flags = np.zeros(n, dtype=int)
+            flags[choice.index] = 1
+            blocks.append(
+                [[method] * n, np.full(n, trial), np.arange(n), trace.errors,
+                 trace.losses, choice.losses, flags]
+            )
     out = _out_path(params["out"])
     _write_csv(
         out,
         ["method", "trial", "k", "error_to_theta_star", "train_loss", "val_loss",
          "early_stop_flag"],
-        rows,
+        blocks,
     )
     _write_manifest(
         out, "empirical", params,
@@ -365,7 +399,7 @@ def cmd_radius(params) -> int:
     _write_csv(
         out,
         ["n", "median_min_error", "q25", "q75", "median_iters_to_min"],
-        rows,
+        [list(zip(*rows))],
     )
     _write_manifest(
         out,

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import qnbench
+import qnbench.cli
 from qnbench import acceptance
-from qnbench.cli import main
+from qnbench.cli import _write_csv, main
+from qnbench.rates import contraction_gap_table, contraction_sequence
+from qnbench.solvers import METHODS
 
 
 def run_cli(*args):
@@ -279,6 +283,165 @@ class TestRadiusCommand:
             "--trials", 2, "--out", tmp_path / "radius.csv",
         )
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+# The CSV writer's reference: csv.writer over rows, each cell rendered on
+# its own by its Python or numpy type.
+def reference_cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_csv(header, rows):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([reference_cell(cell) for cell in row])
+    return text.getvalue().encode()
+
+
+def record_calls(monkeypatch, name):
+    """Route qnbench.cli's ``name`` through a wrapper that keeps each
+    call's arguments and result."""
+    real = getattr(qnbench.cli, name)
+    calls = []
+
+    def keep(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qnbench.cli, name, keep)
+    return calls
+
+
+class TestCsvRendering:
+    HEADER = ["x", "n", "flag", "mixed", "text"]
+
+    def test_edge_values_match_reference(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                           1.7976931348623157e308, 0.1, 1 / 3])
+        ints = np.array([0, -1, 2**63 - 1, -(2**63), 7, 10**12, 3, 4], dtype=np.int64)
+        flags = np.array([0, 1, 0, 0, 1, 0, 0, 0])
+        mixed = [np.int64(7), np.float64(0.1), True, np.bool_(False), 3, 2.5,
+                 np.float32(0.1), np.uint8(255)]
+        text = ["bfgs", "", "a,b", 'say "hi"', "two\nlines", "é", " pad ", "slope"]
+        blocks = [[floats, ints, flags, mixed, text],
+                  [floats[:2], ints[:2], np.array([True, False]), mixed[:2], text[:2]]]
+        rows = [row for block in blocks for row in zip(*block)]
+        out = tmp_path / "edge.csv"
+        _write_csv(out, self.HEADER, blocks)
+        assert out.read_bytes() == reference_csv(self.HEADER, rows)
+        _, read = read_csv(out)
+        assert [row[4] for row in read] == text + text[:2]
+
+    def test_carriage_return_reads_back(self, tmp_path):
+        out = tmp_path / "cr.csv"
+        _write_csv(out, ["a", "b"], [[["one\rtwo"], np.array([1.5])]])
+        assert read_csv(out) == (["a", "b"], [["one\rtwo", "1.5"]])
+
+    @pytest.mark.parametrize("block", [
+        [np.arange(3), np.arange(2)],
+        [np.arange(3), ["a", "b", "c", "d"]],
+        [np.arange(3)],
+    ])
+    def test_ragged_block_raises_before_writing(self, tmp_path, block):
+        out = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match="CSV block 1"):
+            _write_csv(out, ["a", "b"], [[np.arange(2), np.zeros(2)], block])
+        assert not out.exists()
+
+    def test_factors_file(self, tmp_path):
+        out = tmp_path / "factors.csv"
+        assert run_cli("factors", "--q", 6, "--k-max", 12, "--out", out) == 0
+        assert out.read_bytes() == reference_csv(
+            ["k", "factor", "fixed_point", "abs_gap", "envelope"],
+            contraction_gap_table(6, 12),
+        )
+
+    def test_population_file(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, "run_method")
+        out = tmp_path / "population.csv"
+        code = run_cli(
+            "population", "--q", 4, "--d", 3, "--m", 6, "--iters", 25, "--seed", 2,
+            "--out", out,
+        )
+        assert code == 0
+        runs = {args[0]: trace for args, trace in calls}
+        assert list(runs) == list(METHODS)
+        rows = [(method, k, trace.errors[k], trace.losses[k], trace.grad_norms[k])
+                for method, trace in runs.items() for k in range(len(trace))]
+        bfgs = runs["bfgs"]
+        factors = contraction_sequence(4, max(len(bfgs) - 1, 1)).factors
+        shrink = 1.0
+        for k in range(len(bfgs)):
+            rows.append(("bfgs-theory", k, bfgs.errors[0] * shrink,
+                         bfgs.losses[0] * shrink ** 4, bfgs.grad_norms[0] * shrink ** 3))
+            if k < len(factors):
+                shrink *= factors[k]
+        assert out.read_bytes() == reference_csv(
+            ["method", "k", "error_norm", "loss", "grad_norm"], rows
+        )
+
+    def test_empirical_file(self, tmp_path, monkeypatch):
+        runs = record_calls(monkeypatch, "run_glm_method")
+        choices = record_calls(monkeypatch, "early_stop_by_validation")
+        out = tmp_path / "empirical.csv"
+        code = run_cli(
+            "empirical", "--n", 200, "--trials", 2, "--iters", 30, "--seed", 4,
+            "--out", out,
+        )
+        assert code == 0
+        assert len(runs) == len(choices) == 2 * len(METHODS)
+        rows = []
+        for number, ((args, trace), (_, choice)) in enumerate(zip(runs, choices)):
+            for k in range(len(trace)):
+                rows.append((args[0], number // len(METHODS), k, trace.errors[k],
+                             trace.losses[k], choice.losses[k], int(k == choice.index)))
+        assert out.read_bytes() == reference_csv(
+            ["method", "trial", "k", "error_to_theta_star", "train_loss", "val_loss",
+             "early_stop_flag"],
+            rows,
+        )
+
+    def test_radius_file(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, "run_radius_sweep")
+        out = tmp_path / "radius.csv"
+        code = run_cli(
+            "radius", "--n-grid", "50,100,200", "--trials", 3, "--max-iters", 20,
+            "--seed", 6, "--out", out,
+        )
+        assert code == 0
+        [(_, result)] = calls
+        rows = [*result.summaries(),
+                ("slope", result.fitted_slope, result.slope_stderr, "", "")]
+        assert out.read_bytes() == reference_csv(
+            ["n", "median_min_error", "q25", "q75", "median_iters_to_min"], rows
+        )
+
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
+        real = qnbench.cli.run_glm_method
+        calls = []
+
+        def fail_third(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise ValueError("third run fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qnbench.cli, "run_glm_method", fail_third)
+        code = run_cli(
+            "empirical", "--n", 200, "--trials", 2, "--iters", 10,
+            "--out", tmp_path / "empirical.csv",
+        )
+        assert code == 2
+        assert len(calls) == 3
         assert list(tmp_path.iterdir()) == []
 
 
