@@ -183,7 +183,7 @@ def scalar_inequalities():
             trace = solvers.run_scalar_bfgs(loss, 1.8, 2.0, SolverConfig(max_iters=100))
             # radius scale of the nonzero stationary point, sign-agnostic
             cutoff = 2.0 * abs(glmsim.scalar_moment_ratio(loss)) ** (1.0 / p)
-            seq = trace.iterates
+            seq = trace.iterates[:, 0]
             for k in range(1, len(seq) - 1):
                 if seq[k] <= cutoff or seq[k + 1] <= cutoff:
                     break

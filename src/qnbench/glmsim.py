@@ -42,7 +42,7 @@ SCALAR_START = (1.0, 0.999)
 _TRAIN_FRACTION = 0.9
 
 # The methods ``run_glm_method`` accepts: the vector methods and, on
-# one-dimensional losses, the secant form.
+# one-dimensional losses, BFGS from a bootstrapped secant pair.
 GLM_METHODS = (*METHODS, "scalar-bfgs")
 
 
@@ -205,7 +205,7 @@ def early_stop_by_validation(trace, validation_loss) -> EarlyStopChoice:
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    points = np.asarray(trace.iterates, dtype=float).reshape(len(trace), -1)
+    points = np.asarray(trace.iterates, dtype=float)
     finite = np.all(np.isfinite(points), axis=1)
     losses = np.full(len(trace), np.nan)
     with np.errstate(all="ignore"):
@@ -269,23 +269,17 @@ def run_glm_method(
 ):
     """Run one of ``GLM_METHODS`` on an empirical loss.
 
-    ``bfgs`` on a one-dimensional loss runs the secant form from the fixed
-    ordered pair; the Polyak step uses the model noise variance as the
-    known optimal value (the population loss at the truth).  Every other
-    case goes to ``run_method``.
+    ``bfgs`` on a one-dimensional loss runs ``run_scalar_bfgs``, BFGS
+    seeded from the fixed ordered pair; the Polyak step uses the model
+    noise variance as the known optimal value (the population loss at the
+    truth).  Every other case goes to ``run_method``.
     """
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
     if method == "scalar-bfgs" and loss.d != 1:
         raise ValueError("scalar-bfgs needs a one-dimensional loss")
     if method in ("bfgs", "scalar-bfgs") and loss.d == 1:
-        theta0_s, prev_s = (
-            (float(np.atleast_1d(theta0)[0]), None)
-            if method == "scalar-bfgs"
-            else (SCALAR_START[1], SCALAR_START[0])
-        )
-        return run_scalar_bfgs(
-            loss, theta0_s, prev_s, config, theta_ref=float(theta_ref[0])
-        )
+        start = SCALAR_START[::-1] if method == "bfgs" else (np.atleast_1d(theta0)[0], None)
+        return run_scalar_bfgs(loss, *start, config, float(theta_ref[0]))
     f_star = 0.0
     if method == "gd-polyak":
         # the population loss at the truth equals the noise variance, the

@@ -1,11 +1,12 @@
 """Iterative solvers with full per-iteration traces.
 
-Five methods at desk scale: gradient descent with a constant step, gradient
+Four methods at desk scale: gradient descent with a constant step, gradient
 descent with the Polyak step (f(theta) - f_star) / ||grad||**2, Newton with
-unit step, matrix BFGS with unit step, and the one-dimensional secant form
-of BFGS for scalar empirical losses.  Newton and BFGS deliberately take no
-line search: the point of the rate theory they are checked against is unit
-steps throughout.
+unit step, and BFGS with unit step.  BFGS has one iteration; for scalar
+empirical losses ``run_scalar_bfgs`` seeds it from two starting points, and
+at d = 1 it is then the secant method.  Newton and BFGS deliberately take
+no line search: the point of the rate theory they are checked against is
+unit steps throughout.
 
 Each run owns its mutable state; traces are built once and treated as
 immutable afterwards.  Runs on a shared objective may proceed concurrently.
@@ -28,9 +29,6 @@ STOPS_INTERRUPTED = (STOP_DIVERGED, STOP_SECANT_BREAKDOWN)
 # positive curvature on its trajectory but finite precision near the
 # optimum does not, so breakdown is a recorded stop, never a crash.
 CURVATURE_FLOOR = 1e-14
-
-# Absolute floor on the scalar secant denominator (gradient difference).
-SCALAR_SECANT_FLOOR = 1e-14
 
 # Step used to synthesize the second starting point of the scalar method
 # when only one is supplied.
@@ -61,8 +59,8 @@ METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs")
 class SolverConfig:
     """Run limits shared by all methods.
 
-    ``step_size`` is read by gd-constant only; Newton and both BFGS forms
-    always take unit steps.
+    ``step_size`` is read by gd-constant only; Newton and BFGS always take
+    unit steps.
     """
 
     step_size: float = 0.1
@@ -80,8 +78,8 @@ class SolverConfig:
 class SolverTrace:
     """Per-iteration record of a run.
 
-    ``iterates`` has shape (K+1, d) for vector runs and (K+1,) for scalar
-    runs; ``errors``, ``grad_norms`` and ``losses`` all have length K+1.
+    ``iterates`` has shape (K+1, d), also at d = 1; ``errors``,
+    ``grad_norms`` and ``losses`` all have length K+1.
     ``step_info`` carries method-specific per-step metadata (Polyak step
     sizes, the curvature ``s'u`` of each applied BFGS update).
     """
@@ -116,12 +114,10 @@ class SolverTrace:
 
 
 def _norm(v) -> float:
-    """Euclidean norm of a 1-d float array or a scalar as ``sqrt(v.v)``:
-    the same bits as ``np.linalg.norm`` (so 0 where the square underflows,
-    unlike ``abs``) at less overhead per call."""
-    if isinstance(v, np.ndarray):
-        return math.sqrt(v.dot(v))
-    return math.sqrt(v * v)
+    """Euclidean norm of a 1-d float array as ``sqrt(v.v)``: the same bits
+    as ``np.linalg.norm`` (so 0 where the square underflows) at less
+    overhead per call."""
+    return math.sqrt(v.dot(v))
 
 
 def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
@@ -136,16 +132,16 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     loss, gradient norm or error, as converged at a gradient norm within
     ``grad_tol``, and as diverged at an error above ``_DIVERGENCE_CAP``.
     ``step(theta, loss, grad)`` returns the next iterate, or ``None`` when
-    its secant denominator has broken down.  After each record,
+    the run's secant pair has broken down.  After each record,
     ``after(theta, grad, theta_next, grad_next)`` (when given) may return
     a stop reason; the new iterate is recorded either way, and a stop
-    there on a non-finite record is diverged.  A run that
-    uses all ``max_iters`` steps and ends on a diverged record is
-    labelled diverged.  ``step_info`` maps names to lists that the
-    callbacks fill, one entry per step or update.
+    there on a non-finite record is diverged.  A run that uses all
+    ``max_iters`` steps and ends on a diverged record is labelled diverged.
+    ``step_info`` maps names to lists that the callbacks fill, one entry
+    per step or update.
     """
     size = config.max_iters + len(starts)
-    iterates = np.empty((size, *np.shape(starts[0][0])))
+    iterates = np.empty((size, len(starts[0][0])))
     errors = np.empty(size)
     grad_norms = np.empty(size)
     losses = np.empty(size)
@@ -266,16 +262,16 @@ def run_gd_polyak(objective, theta0, f_star, config=None, theta_ref=None) -> Sol
     )
 
 
-def _solve_symmetric(matrix, rhs, ridge):
+def _solve_symmetric(matrix, rhs):
     """Solve a symmetric system, definite or not, by one LU solve; on an
-    exactly singular matrix retry with ``ridge * I`` added, and fall back to
-    least squares when that is singular too."""
+    exactly singular matrix retry with ``NEWTON_RIDGE * I`` added, and fall
+    back to least squares when that is singular too."""
     try:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
         pass
     try:
-        return np.linalg.solve(matrix + ridge * np.eye(matrix.shape[0]), rhs)
+        return np.linalg.solve(matrix + NEWTON_RIDGE * np.eye(matrix.shape[0]), rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
@@ -295,7 +291,7 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
         start, theta_ref = _vector_start(objective, theta0, theta_ref)
 
         def solve_step(theta, _loss, grad):
-            return theta - _solve_symmetric(objective.hessian(theta), grad, NEWTON_RIDGE)
+            return theta - _solve_symmetric(objective.hessian(theta), grad)
 
         return _iterate(objective.value_and_gradient, [start], theta_ref, config, solve_step)
 
@@ -437,17 +433,17 @@ class _InverseHessian:
         return v
 
 
-def initial_inverse_hessian(objective, theta, ridge: float = NEWTON_RIDGE) -> np.ndarray:
+def initial_inverse_hessian(objective, theta) -> np.ndarray:
     """Exact inverse Hessian at ``theta`` (closed form when available).
 
     Otherwise ``_solve_symmetric`` inverts the Hessian, indefinite or not
-    (empirical ones are under noise), with ``ridge`` for its retry; the
-    result is symmetrized so it is a valid BFGS seed.
+    (empirical ones are under noise); the result is symmetrized so it is a
+    valid BFGS seed.
     """
     if hasattr(objective, "hessian_inverse"):
         return objective.hessian_inverse(theta)
     hess = objective.hessian(theta)
-    inv = _solve_symmetric(hess, np.eye(hess.shape[0]), ridge)
+    inv = _solve_symmetric(hess, np.eye(hess.shape[0]))
     return 0.5 * (inv + inv.T)
 
 
@@ -457,17 +453,8 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
     ``h0`` defaults to the exact inverse Hessian at ``theta0``, the choice
     under which the contraction-factor theory is exact; the run updates its
     own copy in place.  The default seed is symmetric to the bit, and the
-    updates keep it so (see ``flush_pairs``).  The run holds its
-    approximation as a ``_InverseHessian``: one product with the dense
-    matrix per step, and the pending updates added to it every
-    ``BFGS_PENDING_PAIRS`` steps.  Curvature at or below
-    ``CURVATURE_FLOOR * ||s|| ||u||``, or so small that the update's
-    coefficients overflow, stops the run with a recorded secant breakdown,
-    or as diverged when the new iterate's loss, gradient norm or error is
-    non-finite.  ``step_info["curvature"]`` holds the ``s'u`` of each
-    applied update, in order; replaying the updates from the trace's
-    iterates reproduces the matrices (criterion 2 checks their secant
-    condition and symmetry that way).
+    updates keep it so (see ``flush_pairs``).  The iteration itself is
+    ``_run_bfgs``.
     """
     config = config or SolverConfig()
     if h0 is None:
@@ -480,22 +467,45 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
             raise ValueError("h0 must be symmetric")
         h = h0.copy()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
-    inverse = _InverseHessian(h)
+    return _run_bfgs(objective.value_and_gradient, [start], h, config, theta_ref)
+
+
+def _curvature(s, u):
+    """``s'u``, or ``None`` where BFGS breaks down: where it is non-finite
+    or at most ``CURVATURE_FLOOR * ||s|| ||u||``."""
+    curvature = float(s @ u)
+    floor = CURVATURE_FLOOR * (_norm(s) * _norm(u))
+    return curvature if math.isfinite(curvature) and not curvature <= floor else None
+
+
+def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
+    """The BFGS iteration from the evaluated ``starts`` (see ``_iterate``)
+    and the seed ``h``, updated in place, or ``None`` when the starting pair
+    has broken down: the run then stops at its first step.
+
+    The run holds ``h`` as a ``_InverseHessian``: one product with the
+    dense matrix per step, and the pending updates added to it every
+    ``BFGS_PENDING_PAIRS`` steps.  Curvature that fails ``_curvature``, or
+    so small that the update's coefficients overflow, stops the run with a
+    recorded secant breakdown, or as diverged when the new iterate's loss,
+    gradient norm or error is non-finite.  ``step_info["curvature"]`` holds
+    the ``s'u`` of each applied update, in order; replaying the updates
+    from the trace's iterates reproduces the matrices (criterion 2 checks
+    their secant condition and symmetry that way).
+    """
+    inverse = None if h is None else _InverseHessian(h)
     with np.errstate(all="ignore"):  # a non-finite start: _iterate stops the run
-        direction = inverse.times(start[2])
+        direction = None if h is None else inverse.times(starts[-1][2])
     curvatures = []
 
     def step(theta, _loss, _grad):
-        return theta - direction
+        return None if direction is None else theta - direction
 
     def after(theta, grad, theta_next, grad_next):
         nonlocal direction
-        s = theta_next - theta
-        u = grad_next - grad
-        curvature = float(s @ u)
-        if not math.isfinite(curvature) or curvature <= CURVATURE_FLOOR * (
-            _norm(s) * _norm(u)
-        ):
+        s, u = theta_next - theta, grad_next - grad
+        curvature = _curvature(s, u)
+        if curvature is None:
             return STOP_SECANT_BREAKDOWN
         try:
             direction = inverse.update(s, u, direction, grad_next)
@@ -505,7 +515,7 @@ def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverT
         return None
 
     return _iterate(
-        objective.value_and_gradient, [start], theta_ref, config, step, after=after,
+        evaluate, starts, theta_ref, config, step, after=after,
         step_info={"curvature": curvatures},
     )
 
@@ -533,49 +543,38 @@ def run_method(
 def run_scalar_bfgs(
     loss, theta0: float, theta_prev: float | None = None, config=None, theta_ref: float = 0.0
 ) -> SolverTrace:
-    """Secant form of BFGS for one-dimensional empirical losses.
+    """BFGS on a one-dimensional loss, seeded with ``h0 = s/u`` from the
+    starting pair (theta_prev, theta0).  At d = 1 every update gives
+    ``H = s/u`` again, so this is the secant method
 
-    theta <- theta - (theta - prev) / (grad(theta) - grad(prev)) * grad(theta)
+        theta <- theta - (theta - prev) / (grad(theta) - grad(prev)) * grad(theta)
 
-    with unit step.  The update needs two points: when ``theta_prev`` is
-    omitted, the run starts from the pair (theta0, theta0 - 1e-3 * grad),
-    a tiny gradient step that produces a valid ordered secant pair.  Both
-    starting points are recorded at the head of the trace.
+    Without ``theta_prev`` the pair is (theta0, theta0 - 1e-3 * grad), a
+    tiny gradient step.  Both starting points head the trace; a pair whose
+    curvature fails ``_curvature`` stops the run as a secant breakdown at
+    its first step.
     """
     config = config or SolverConfig()
     if getattr(loss, "d", 1) != 1:
         raise ValueError("run_scalar_bfgs needs a one-dimensional loss")
 
-    def eval_at(t):
-        value, grad = loss.value_and_gradient(np.array([t]))
-        return value, float(grad[0])
+    def start(t):
+        return _vector_start(loss, [float(t)], theta_ref)[0]
 
     if theta_prev is None:
-        prev = float(theta0)
-        starts = [(prev, *eval_at(prev))]
-        g_prev = starts[0][2]
+        starts = [start(theta0)]
         # a start already within grad_tol is the whole run: the driver's
         # first stop check ends it
-        if not abs(g_prev) <= config.grad_tol:
-            cur = prev - SCALAR_BOOTSTRAP_STEP * g_prev
-            starts.append((cur, *eval_at(cur)))
+        if not _norm(starts[0][2]) <= config.grad_tol:
+            starts.append(start(float(theta0) - SCALAR_BOOTSTRAP_STEP * starts[0][2][0]))
     else:
-        prev, cur = float(theta_prev), float(theta0)
-        if cur == prev:
+        if float(theta0) == float(theta_prev):
             raise ValueError("the two starting points must differ")
-        starts = [(prev, *eval_at(prev)), (cur, *eval_at(cur))]
-        g_prev = starts[0][2]
-        if starts[1][2] == g_prev:
+        starts = [start(theta_prev), start(theta0)]
+        if starts[1][2][0] == starts[0][2][0]:
             raise ValueError("gradients at the two starting points must differ")
-
-    def step(cur, _loss, g_cur):
-        nonlocal prev, g_prev
-        denom = g_cur - g_prev
-        if abs(denom) < SCALAR_SECANT_FLOOR:
-            return None
-        nxt = cur - (cur - prev) / denom * g_cur
-        prev, g_prev = cur, g_cur
-        return nxt
-
-    return _iterate(eval_at, starts, float(theta_ref), config, step)
-
+    # a lone start gives s = u = 0, and so no seed
+    with np.errstate(all="ignore"):  # a non-finite start: _iterate stops the run
+        s, u = starts[-1][0] - starts[0][0], starts[-1][2] - starts[0][2]
+        h = None if _curvature(s, u) is None else (s / u).reshape(1, 1)
+    return _run_bfgs(loss.value_and_gradient, starts, h, config, [theta_ref])

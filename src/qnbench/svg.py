@@ -7,12 +7,16 @@ no randomness.
 """
 
 import math
+import re
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 28, 52
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f"]
+
+# Entity references for the text nodes, whose contents come from flags and CSVs.
+TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _transform(values, log_scale, axis_name, row_numbers):
@@ -56,7 +60,8 @@ def line_chart(
     """Render named series as one SVG document.
 
     ``series`` maps a legend label to a list of (x, y, row_number) points;
-    row numbers feed error messages for log-axis domain violations.
+    row numbers feed error messages for log-axis domain violations.  Text is
+    escaped, and each run of dashes in ``source_comment`` shrinks to one.
     """
     if not series or all(len(pts) == 0 for pts in series.values()):
         raise ValueError("nothing to plot")
@@ -91,13 +96,13 @@ def line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
     ]
     if source_comment is not None:
-        safe = source_comment.replace("--", "-")
+        safe = re.sub("-+", "-", source_comment)
         parts.append(f"<!-- source: {safe} -->")
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{title.translate(TEXT_ESCAPES)}</text>'
         )
 
     axis_y = MARGIN_TOP + plot_h
@@ -128,12 +133,13 @@ def line_chart(
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{x_label}</text>"
+        f"{x_label.translate(TEXT_ESCAPES)}</text>"
     )
     parts.append(
         f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">'
+        f"{y_label.translate(TEXT_ESCAPES)}</text>"
     )
 
     for i, (name, (xs, ys)) in enumerate(coords.items()):
@@ -149,7 +155,7 @@ def line_chart(
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
+            f'font-size="11">{name.translate(TEXT_ESCAPES)}</text>'
         )
 
     parts.append("</svg>")

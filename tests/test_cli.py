@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from qnbench import acceptance
 from qnbench.cli import _write_csv, main
 from qnbench.rates import contraction_gap_table, contraction_sequence
 from qnbench.solvers import METHODS
+from qnbench.svg import line_chart
 
 
 def run_cli(*args):
@@ -529,6 +531,24 @@ class TestSvgCommand:
         )
         assert code == 0
         assert out.read_text().count("<polyline") == 2
+
+    def test_outside_text_gives_well_formed_xml(self):
+        # the title and labels come from flags and CSV headers, the legend
+        # names from CSV headers or group cells, the comment from a path
+        ns = "{http://www.w3.org/2000/svg}"
+        cases = [
+            ({"title": "R&D <q=4>"}, "R&D <q=4>"),
+            ({"series": {"R&D": [(0.0, 1.0, 2), (1.0, 2.0, 3)]}}, "R&D"),
+            ({"x_label": "k<1"}, "k<1"),
+            ({"y_label": "y<0"}, "y<0"),
+            ({"source_comment": "runs---a.csv.manifest"}, None),
+        ]
+        for change, text in cases:
+            kwargs = {"series": {"err": [(0.0, 1.0, 2), (1.0, 2.0, 3)]},
+                      "x_label": "k", "y_label": "err", **change}
+            root = ET.fromstring(line_chart(**kwargs).encode())
+            if text is not None:
+                assert text in [node.text for node in root.iter(f"{ns}text")]
 
 
 class TestSelfcheck:

@@ -204,10 +204,10 @@ class TestEarlyStop:
         from qnbench.solvers import SolverTrace
 
         val = EmpiricalGlmLoss(np.ones(10), np.ones(10), 2)
-        iterates = np.array([3.0, 2.0, 1.5, 1.0])  # val loss keeps falling
+        iterates = np.array([[3.0], [2.0], [1.5], [1.0]])  # val loss keeps falling
         trace = SolverTrace(
             iterates=iterates,
-            errors=np.abs(iterates),
+            errors=np.abs(iterates[:, 0]),
             grad_norms=np.zeros(4),
             losses=np.zeros(4),
             stop_reason="max-iters",
@@ -232,7 +232,7 @@ class TestEarlyStop:
 
         iterates = np.array(iterates)
         return SolverTrace(
-            iterates=iterates,
+            iterates=iterates[:, None],
             errors=np.abs(iterates),
             grad_norms=np.zeros(iterates.size),
             losses=np.zeros(iterates.size),
