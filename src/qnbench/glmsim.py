@@ -34,16 +34,13 @@ _STREAM_FEATURES = 0
 _STREAM_NOISE = 1
 _STREAM_INIT = 2
 
-# Fixed starting pair for one-dimensional secant runs: ordered, positive,
-# and well above any desk-scale statistical radius.
-SCALAR_START = (1.0, 0.999)
+# Fixed starting pair (theta0, theta_prev) of ``run_scalar_bfgs`` for
+# one-dimensional runs: ordered, positive, and well above any desk-scale
+# statistical radius.
+SCALAR_START = (0.999, 1.0)
 
 # Share of a dataset that ``split_train_validation`` keeps for training.
 _TRAIN_FRACTION = 0.9
-
-# The methods ``run_glm_method`` accepts: the vector methods and, on
-# one-dimensional losses, BFGS from a bootstrapped secant pair.
-GLM_METHODS = (*METHODS, "scalar-bfgs")
 
 
 def default_covariance_diagonal(d: int) -> np.ndarray:
@@ -216,11 +213,21 @@ def early_stop_by_validation(trace, validation_loss) -> EarlyStopChoice:
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x), with its standard error."""
-    x = np.log(np.asarray(xs, dtype=float))
-    y = np.log(np.asarray(ys, dtype=float))
-    if x.size != y.size or x.size < 2:
+    """Least-squares slope of log(y) against log(x), with its standard error.
+
+    Each x and y must be positive and finite; a ``ValueError`` names the
+    first point that is not.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.size != ys.size or xs.size < 2:
         raise ValueError("need at least two points to fit a slope")
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            raise ValueError(
+                f"cannot fit a log-log slope through ({x!r}, {y!r}): "
+                "each coordinate must be positive and finite"
+            )
+    x, y = np.log(xs), np.log(ys)
     xc = x - x.mean()
     sxx = float(xc @ xc)
     slope = float(xc @ y) / sxx
@@ -267,19 +274,17 @@ def run_glm_method(
     theta_ref,
     noise_var: float = 1.0,
 ):
-    """Run one of ``GLM_METHODS`` on an empirical loss.
+    """Run one of ``METHODS`` on an empirical loss.
 
     ``bfgs`` on a one-dimensional loss runs ``run_scalar_bfgs``, BFGS
-    seeded from the fixed ordered pair; the Polyak step uses the model
-    noise variance as the known optimal value (the population loss at the
-    truth).  Every other case goes to ``run_method``.
+    seeded from the fixed ordered pair ``SCALAR_START`` (``theta0`` is
+    not read); the Polyak step uses the model noise variance as the known
+    optimal value (the population loss at the truth).  Every other case
+    goes to ``run_method``.
     """
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
-    if method == "scalar-bfgs" and loss.d != 1:
-        raise ValueError("scalar-bfgs needs a one-dimensional loss")
-    if method in ("bfgs", "scalar-bfgs") and loss.d == 1:
-        start = SCALAR_START[::-1] if method == "bfgs" else (np.atleast_1d(theta0)[0], None)
-        return run_scalar_bfgs(loss, *start, config, float(theta_ref[0]))
+    if method == "bfgs" and loss.d == 1:
+        return run_scalar_bfgs(loss, *SCALAR_START, config, float(theta_ref[0]))
     f_star = 0.0
     if method == "gd-polyak":
         # the population loss at the truth equals the noise variance, the
@@ -315,8 +320,8 @@ def run_radius_sweep(
         raise ValueError("n_grid must be strictly increasing")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if method not in GLM_METHODS:
-        raise ValueError(f"method must be one of {GLM_METHODS}, got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     rows = []
     for i_n, n in enumerate(n_grid):
         for trial in range(trials):

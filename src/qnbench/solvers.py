@@ -30,10 +30,6 @@ STOPS_INTERRUPTED = (STOP_DIVERGED, STOP_SECANT_BREAKDOWN)
 # optimum does not, so breakdown is a recorded stop, never a crash.
 CURVATURE_FLOOR = 1e-14
 
-# Step used to synthesize the second starting point of the scalar method
-# when only one is supplied.
-SCALAR_BOOTSTRAP_STEP = 1e-3
-
 NEWTON_RIDGE = 1e-12
 
 # A run whose error to its reference point exceeds this has diverged.
@@ -65,13 +61,10 @@ class SolverConfig:
 
     step_size: float = 0.1
     max_iters: int = 10_000
-    grad_tol: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be non-negative")
 
 
 @dataclass
@@ -129,8 +122,8 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     order; the loop continues from the last.  Before each step, ``check``
     (when given) sees the last recorded loss and gradient norm and may
     return a stop reason; then the run stops as diverged at a non-finite
-    loss, gradient norm or error, as converged at a gradient norm within
-    ``grad_tol``, and as diverged at an error above ``_DIVERGENCE_CAP``.
+    loss, gradient norm or error, as converged at a zero gradient norm,
+    and as diverged at an error above ``_DIVERGENCE_CAP``.
     ``step(theta, loss, grad)`` returns the next iterate, or ``None`` when
     the run's secant pair has broken down.  After each record,
     ``after(theta, grad, theta_next, grad_next)`` (when given) may return
@@ -163,7 +156,7 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     def limit_stop():
         if not finite_record():
             return STOP_DIVERGED
-        if grad_norms[count - 1] <= config.grad_tol:
+        if grad_norms[count - 1] == 0.0:
             return STOP_GRAD_TOL
         if errors[count - 1] > _DIVERGENCE_CAP:
             return STOP_DIVERGED
@@ -447,25 +440,16 @@ def initial_inverse_hessian(objective, theta) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def run_bfgs(objective, theta0, h0=None, config=None, theta_ref=None) -> SolverTrace:
-    """Matrix BFGS with unit step.
-
-    ``h0`` defaults to the exact inverse Hessian at ``theta0``, the choice
-    under which the contraction-factor theory is exact; the run updates its
-    own copy in place.  The default seed is symmetric to the bit, and the
-    updates keep it so (see ``flush_pairs``).  The iteration itself is
+def run_bfgs(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
+    """Matrix BFGS with unit step, seeded with the exact inverse Hessian at
+    ``theta0``: the seed under which the contraction-factor theory is
+    exact.  The seed is symmetric to the bit, and the updates, made in
+    place, keep it so (see ``flush_pairs``).  The iteration itself is
     ``_run_bfgs``.
     """
     config = config or SolverConfig()
-    if h0 is None:
-        with np.errstate(all="ignore"):  # as the start is: see _vector_start
-            h = initial_inverse_hessian(objective, np.asarray(theta0, dtype=float))
-    else:
-        h0 = np.asarray(h0, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(h0))))
-        if float(np.max(np.abs(h0 - h0.T))) > 1e-10 * scale:
-            raise ValueError("h0 must be symmetric")
-        h = h0.copy()
+    with np.errstate(all="ignore"):  # as the start is: see _vector_start
+        h = initial_inverse_hessian(objective, np.asarray(theta0, dtype=float))
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
     return _run_bfgs(objective.value_and_gradient, [start], h, config, theta_ref)
 
@@ -536,44 +520,32 @@ def run_method(
     if method == "newton":
         return run_newton(objective, theta0, config, theta_ref)
     if method == "bfgs":
-        return run_bfgs(objective, theta0, None, config, theta_ref)
+        return run_bfgs(objective, theta0, config, theta_ref)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def run_scalar_bfgs(
-    loss, theta0: float, theta_prev: float | None = None, config=None, theta_ref: float = 0.0
+    loss, theta0: float, theta_prev: float, config=None, theta_ref: float = 0.0
 ) -> SolverTrace:
-    """BFGS on a one-dimensional loss, seeded with ``h0 = s/u`` from the
+    """BFGS on a one-dimensional loss, seeded with ``H = s/u`` from the
     starting pair (theta_prev, theta0).  At d = 1 every update gives
     ``H = s/u`` again, so this is the secant method
 
         theta <- theta - (theta - prev) / (grad(theta) - grad(prev)) * grad(theta)
 
-    Without ``theta_prev`` the pair is (theta0, theta0 - 1e-3 * grad), a
-    tiny gradient step.  Both starting points head the trace; a pair whose
+    Both starting points head the trace, ``theta_prev`` first; a pair whose
     curvature fails ``_curvature`` stops the run as a secant breakdown at
-    its first step.
+    its first step.  Equal points, or equal gradients at them, are a
+    ``ValueError``.
     """
     config = config or SolverConfig()
     if getattr(loss, "d", 1) != 1:
         raise ValueError("run_scalar_bfgs needs a one-dimensional loss")
-
-    def start(t):
-        return _vector_start(loss, [float(t)], theta_ref)[0]
-
-    if theta_prev is None:
-        starts = [start(theta0)]
-        # a start already within grad_tol is the whole run: the driver's
-        # first stop check ends it
-        if not _norm(starts[0][2]) <= config.grad_tol:
-            starts.append(start(float(theta0) - SCALAR_BOOTSTRAP_STEP * starts[0][2][0]))
-    else:
-        if float(theta0) == float(theta_prev):
-            raise ValueError("the two starting points must differ")
-        starts = [start(theta_prev), start(theta0)]
-        if starts[1][2][0] == starts[0][2][0]:
-            raise ValueError("gradients at the two starting points must differ")
-    # a lone start gives s = u = 0, and so no seed
+    if float(theta0) == float(theta_prev):
+        raise ValueError("the two starting points must differ")
+    starts = [_vector_start(loss, [float(t)], theta_ref)[0] for t in (theta_prev, theta0)]
+    if starts[1][2][0] == starts[0][2][0]:
+        raise ValueError("gradients at the two starting points must differ")
     with np.errstate(all="ignore"):  # a non-finite start: _iterate stops the run
         s, u = starts[-1][0] - starts[0][0], starts[-1][2] - starts[0][2]
         h = None if _curvature(s, u) is None else (s / u).reshape(1, 1)

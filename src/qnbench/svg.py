@@ -15,8 +15,12 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 28, 52
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f"]
 
+# The characters XML 1.0 cannot encode, dropped from all outside text.
+NOT_XML = str.maketrans(
+    dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF])
+)
 # Entity references for the text nodes, whose contents come from flags and CSVs.
-TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+TEXT_ESCAPES = {**NOT_XML, **str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})}
 
 
 def _transform(values, log_scale, axis_name, row_numbers):
@@ -61,7 +65,8 @@ def line_chart(
 
     ``series`` maps a legend label to a list of (x, y, row_number) points;
     row numbers feed error messages for log-axis domain violations.  Text is
-    escaped, and each run of dashes in ``source_comment`` shrinks to one.
+    escaped, characters XML 1.0 cannot encode are dropped, and each run of
+    dashes in ``source_comment`` shrinks to one.
     """
     if not series or all(len(pts) == 0 for pts in series.values()):
         raise ValueError("nothing to plot")
@@ -96,7 +101,7 @@ def line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
     ]
     if source_comment is not None:
-        safe = re.sub("-+", "-", source_comment)
+        safe = re.sub("-+", "-", source_comment.translate(NOT_XML))
         parts.append(f"<!-- source: {safe} -->")
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if title:

@@ -278,13 +278,27 @@ class TestRadiusCommand:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("method", ["sgd", "scalar-bfgs"])
-    def test_rejects_unusable_method_without_writing(self, tmp_path, method):
+    @pytest.mark.parametrize("method,d", [
+        pytest.param(method, d, id=method if d == 4 else f"{method}-d{d}")
+        for d in (4, 1) for method in ("sgd", "scalar-bfgs")
+    ])
+    def test_rejects_unusable_method_without_writing(self, tmp_path, method, d):
         code = run_cli(
-            "radius", "--method", method, "--d", 4, "--n-grid", "50,100,200",
+            "radius", "--method", method, "--d", d, "--n-grid", "50,100,200",
             "--trials", 2, "--out", tmp_path / "radius.csv",
         )
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_median_is_usage_error_without_writing(self, tmp_path, capsys):
+        # at d = 1 the secant runs reach an error of exactly 0 on most
+        # datasets, so the medians at n = 100 and n = 1000 are 0: no slope
+        code = run_cli(
+            "radius", "--d", 1, "--n-grid", "100,1000,10000", "--trials", 5,
+            "--out", tmp_path / "radius.csv",
+        )
+        assert code == 2
+        assert "(100.0, 0.0)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -542,6 +556,10 @@ class TestSvgCommand:
             ({"x_label": "k<1"}, "k<1"),
             ({"y_label": "y<0"}, "y<0"),
             ({"source_comment": "runs---a.csv.manifest"}, None),
+            # characters XML 1.0 cannot encode are dropped
+            ({"title": "a\x01b"}, "ab"),
+            ({"title": "a\x00\x08\x0b\x0c\x0e\x1f\ufffe\uffffb"}, "ab"),
+            ({"source_comment": "x\x0cy"}, None),
         ]
         for change, text in cases:
             kwargs = {"series": {"err": [(0.0, 1.0, 2), (1.0, 2.0, 3)]},

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -191,9 +193,7 @@ class TestEarlyStop:
         config = low_snr_config(2, 2)
         full = generate_dataset(config, 100, seed=20)
         train, val = split_train_validation(full)
-        trace = run_bfgs(
-            train, np.zeros(2), np.eye(2), SolverConfig(max_iters=5), np.zeros(2)
-        )
+        trace = run_bfgs(train, np.zeros(2), SolverConfig(max_iters=5), np.zeros(2))
         # gradient vanishes at the origin: single recorded iterate
         assert len(trace) == 1
         choice = early_stop_by_validation(trace, val)
@@ -218,7 +218,7 @@ class TestEarlyStop:
         config = low_snr_config(2, 2)
         train, val = split_train_validation(generate_dataset(config, 200, seed=22))
         trace = run_bfgs(
-            train, np.ones(2), None, SolverConfig(max_iters=8), np.zeros(2)
+            train, np.ones(2), SolverConfig(max_iters=8), np.zeros(2)
         )
         choice = early_stop_by_validation(trace, val)
         assert choice.losses.shape == (len(trace),)
@@ -308,7 +308,7 @@ class TestEarlyStop:
             train, val = split_train_validation(full)
             theta0 = 2.0 * rng.unit_vector(4, rng.derive_seed(data_seed, 2))
             trace = run_bfgs(
-                train, theta0, None, SolverConfig(max_iters=100), np.zeros(4)
+                train, theta0, SolverConfig(max_iters=100), np.zeros(4)
             )
             choice = early_stop_by_validation(trace, val)
             ratios.append(trace.errors[choice.index] / trace.min_error)
@@ -326,6 +326,14 @@ class TestSlopeFit:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([10], [1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_point_off_the_log_domain(self, bad):
+        # the message names the first point whose log is not finite
+        with pytest.raises(ValueError, match=re.escape(f"(100.0, {bad!r})")):
+            fit_loglog_slope([10, 100, 1000], [1.0, bad, bad])
+        with pytest.raises(ValueError, match=re.escape(f"({bad!r}, 2.0)")):
+            fit_loglog_slope([10, bad], [1.0, 2.0])
 
 
 class TestRadiusSweep:
@@ -396,7 +404,7 @@ class TestRadiusSweep:
         loss = generate_dataset(config, 400, seed=33)
         theta0 = config.theta_star + 0.3 * rng.unit_vector(3, 34)
         trace = run_bfgs(
-            loss, theta0, None, SolverConfig(max_iters=80, grad_tol=1e-14),
+            loss, theta0, SolverConfig(max_iters=80),
             config.theta_star,
         )
         best = min(
@@ -427,6 +435,14 @@ class TestRadiusSweep:
                 config, solver, [50, 100, 150], 2, seed0=37, method=method
             )
             assert len(result.rows) == 6
+
+    def test_scalar_runs_start_at_the_fixed_pair(self):
+        # theta0 is not read: a d = 1 run starts at 1.0, then 0.999
+        loss = generate_dataset(low_snr_config(1, 2), 1000, seed=38)
+        trace = run_glm_method(
+            "bfgs", loss, np.array([0.5]), SolverConfig(max_iters=5), np.zeros(1)
+        )
+        assert trace.iterates[:2, 0].tolist() == [1.0, 0.999]
 
     def test_unknown_method_rejected(self):
         config = low_snr_config(2, 2)
