@@ -12,9 +12,9 @@ import numpy as np
 
 from qnbench import rng
 from qnbench.glmsim import (
-    GlmModelConfig,
     early_stop_by_validation,
     generate_dataset,
+    low_snr_config,
     run_glm_method,
     split_train_validation,
 )
@@ -22,7 +22,7 @@ from qnbench.solvers import METHODS, SolverConfig
 
 
 def main():
-    config = GlmModelConfig(d=4, p=2, theta_star=np.zeros(4), cov=np.ones(4))
+    config = low_snr_config(4, 2, cov=np.ones(4))
     n, seed = 10_000, 7
     full = generate_dataset(config, n, seed)
     train, val = split_train_validation(full)
@@ -32,9 +32,7 @@ def main():
           f"{'early-stop error':>17} {'at iter':>8} {'stop':>18}")
     solver = SolverConfig(step_size=0.1, max_iters=2000)
     for method in METHODS:
-        trace = run_glm_method(
-            method, train, theta0, solver, config.theta_star, config.noise_var
-        )
+        trace = run_glm_method(method, train, theta0, solver, config.theta_star)
         choice = early_stop_by_validation(trace, val)
         print(f"{method:>12} {trace.min_error:>12.4f} {trace.iters_to_min:>8d} "
               f"{trace.errors[choice.index]:>17.4f} {choice.index:>8d} "

@@ -10,12 +10,7 @@ quartile bands, exactly as the radius CSV reports them.
 
 import numpy as np
 
-from qnbench import rng
-from qnbench.glmsim import (
-    GlmModelConfig,
-    low_snr_config,
-    run_radius_sweep,
-)
+from qnbench.glmsim import high_snr_config, low_snr_config, run_radius_sweep
 from qnbench.solvers import SolverConfig
 
 N_GRID = [100, 316, 1000, 3162, 10000]
@@ -39,13 +34,9 @@ def main():
     )
     show("low SNR (theta* = 0, decaying covariance): expect slope near -1/4", low)
 
-    high_config = GlmModelConfig(
-        4, 2, rng.unit_vector(4, rng.derive_seed(11, 17)), cov=np.ones(4),
-        regime="high-snr",
-    )
     high = run_radius_sweep(
-        high_config, solver, N_GRID, trials=40, seed0=11, init_radius=1.0,
-        method="bfgs",
+        high_snr_config(4, 2, 11, cov=np.ones(4)), solver, N_GRID, trials=40,
+        seed0=11, init_radius=1.0, method="bfgs",
     )
     show("high SNR (unit theta*, isotropic covariance): expect slope near -1/2", high)
 

@@ -333,9 +333,7 @@ def cmd_empirical(params) -> int:
             config.d, rng.derive_seed(data_seed, 2)
         )
         for method in METHODS:
-            trace = run_glm_method(
-                method, train, theta0, solver, config.theta_star, config.noise_var
-            )
+            trace = run_glm_method(method, train, theta0, solver, config.theta_star)
             if trace.stop_reason in STOPS_INTERRUPTED:
                 interrupted.append(f"{method}/{trial}:{trace.stop_reason}")
             choice = early_stop_by_validation(trace, val)

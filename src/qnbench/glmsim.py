@@ -1,15 +1,16 @@
 """Seeded synthetic GLM data and statistical-radius sweeps.
 
 Data follow ``y_i = (x_i' theta_star)**p + noise``, with Gaussian features
-and Gaussian noise drawn from the package's own deterministic streams, so
-identical (config, n, seed) triples reproduce datasets bit-for-bit.  Two
-regimes matter: high signal-to-noise (theta_star on the unit sphere), where
-the loss is locally strongly convex, and low signal-to-noise
+of diagonal covariance and standard Gaussian noise (variance ``NOISE_VAR``)
+drawn from the package's own deterministic streams, so identical
+(config, n, seed) triples reproduce datasets bit-for-bit.  theta_star
+alone sets the regime: high signal-to-noise (theta_star on the unit
+sphere), where the loss is locally strongly convex, or low signal-to-noise
 (theta_star = 0), where it is flat at the optimum and first-order methods
 slow to a crawl.
 
-At low SNR the population loss, ``(2p-1)!! ||S theta||**(2p)`` plus the
-noise variance, is a pow-norm objective plus a constant, so
+At low SNR the population loss, ``(2p-1)!! ||S theta||**(2p)`` plus
+``NOISE_VAR``, is a pow-norm objective plus a constant, so
 ``low_snr_population_objective`` builds it as one and the solvers run on
 it with exact derivatives.
 
@@ -27,8 +28,8 @@ from . import rng
 from .objectives import EmpiricalGlmLoss, PowNormObjective
 from .solvers import METHODS, STOPS_INTERRUPTED, SolverConfig, run_method, run_scalar_bfgs
 
-REGIME_LOW_SNR = "low-snr"
-REGIME_HIGH_SNR = "high-snr"
+# Variance of the label noise; the population loss at the truth.
+NOISE_VAR = 1.0
 
 _STREAM_FEATURES = 0
 _STREAM_NOISE = 1
@@ -50,20 +51,19 @@ def default_covariance_diagonal(d: int) -> np.ndarray:
 
 @dataclass
 class GlmModelConfig:
-    """Generative model: dimensions, link power, truth, covariance, noise.
+    """Generative model: dimensions, link power, truth, feature variances.
 
-    ``cov`` may be a length-d vector of positive variances (diagonal
-    covariance) or a full SPD matrix; ``None`` selects the default
-    diagonal.  The low-SNR regime requires theta_star = 0 exactly, the
-    high-SNR regime a unit-norm theta_star.
+    ``theta_star`` fixes the regime: all zeros is low SNR, a finite
+    unit-norm vector (within 1e-9) high SNR; anything else is a
+    ``ValueError``.  ``cov`` is a length-d vector of positive, finite
+    feature variances (a diagonal covariance); ``None`` selects
+    ``default_covariance_diagonal``.  The noise has variance ``NOISE_VAR``.
     """
 
     d: int
     p: int
     theta_star: np.ndarray
     cov: np.ndarray | None = None
-    noise_std: float = 1.0
-    regime: str = REGIME_LOW_SNR
 
     def __post_init__(self):
         if self.d < 1:
@@ -71,56 +71,33 @@ class GlmModelConfig:
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
             raise ValueError(f"link power p must be an integer >= 2, got {self.p!r}")
         self.p = int(self.p)
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
         self.theta_star = np.asarray(self.theta_star, dtype=float)
         if self.theta_star.shape != (self.d,):
             raise ValueError("theta_star must have length d")
-        if self.regime == REGIME_LOW_SNR:
-            if np.any(self.theta_star != 0.0):
-                raise ValueError("low-snr regime requires theta_star = 0")
-        elif self.regime == REGIME_HIGH_SNR:
-            if abs(np.linalg.norm(self.theta_star) - 1.0) > 1e-9:
-                raise ValueError("high-snr regime requires unit-norm theta_star")
-        else:
-            raise ValueError(f"unknown regime {self.regime!r}")
+        # stated positively, so a NaN or infinite entry fails both tests
+        low_snr = np.all(self.theta_star == 0.0)
+        high_snr = abs(np.linalg.norm(self.theta_star) - 1.0) <= 1e-9
+        if not (low_snr or high_snr):
+            raise ValueError(
+                "theta_star must be zero (low SNR) or finite with unit norm (high SNR)"
+            )
         cov = default_covariance_diagonal(self.d) if self.cov is None else np.asarray(
             self.cov, dtype=float
         )
-        if cov.ndim == 1:
-            if cov.shape != (self.d,) or np.any(cov <= 0):
-                raise ValueError("diagonal covariance needs d positive variances")
-            self.cov_sqrt = np.diag(np.sqrt(cov))
-        elif cov.ndim == 2 and cov.shape == (self.d, self.d):
-            if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
-                raise ValueError("covariance matrix must be symmetric")
-            eigvals, eigvecs = np.linalg.eigh(cov)
-            if np.min(eigvals) <= 0:
-                raise ValueError("covariance matrix must be positive definite")
-            self.cov_sqrt = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-        else:
-            raise ValueError("cov must be a length-d vector or a d x d matrix")
+        if cov.shape != (self.d,) or not np.all((cov > 0.0) & np.isfinite(cov)):
+            raise ValueError("cov must be d positive, finite variances")
         self.cov = cov
-
-    @property
-    def noise_var(self) -> float:
-        return self.noise_std ** 2
+        self.cov_sqrt = np.diag(np.sqrt(cov))
 
 
-def low_snr_config(d: int, p: int, cov=None, noise_std: float = 1.0) -> GlmModelConfig:
-    return GlmModelConfig(
-        d=d, p=p, theta_star=np.zeros(d), cov=cov, noise_std=noise_std,
-        regime=REGIME_LOW_SNR,
-    )
+def low_snr_config(d: int, p: int, cov=None) -> GlmModelConfig:
+    return GlmModelConfig(d=d, p=p, theta_star=np.zeros(d), cov=cov)
 
 
-def high_snr_config(
-    d: int, p: int, seed: int, cov=None, noise_std: float = 1.0
-) -> GlmModelConfig:
+def high_snr_config(d: int, p: int, seed: int, cov=None) -> GlmModelConfig:
     """High-SNR model with theta_star drawn uniformly from the unit sphere."""
     return GlmModelConfig(
-        d=d, p=p, theta_star=rng.unit_vector(d, rng.derive_seed(seed, 17)),
-        cov=cov, noise_std=noise_std, regime=REGIME_HIGH_SNR,
+        d=d, p=p, theta_star=rng.unit_vector(d, rng.derive_seed(seed, 17)), cov=cov
     )
 
 
@@ -129,17 +106,17 @@ def low_snr_population_objective(config: GlmModelConfig) -> PowNormObjective:
     variance, as a pow-norm objective.
 
     With theta_star = 0, ``E (y - (x' theta)**p)**2 = (2p-1)!! ||S theta||**(2p)
-    + noise_var`` for S the symmetric covariance square root
+    + NOISE_VAR`` for S the diagonal covariance square root
     ``config.cov_sqrt``: the pow-norm objective with
     ``A = ((2p-1)!!)**(1/(2p)) S``, ``theta_opt = 0`` and ``q = 2p``.  Add
-    ``config.noise_var`` to its ``value`` for the loss.
+    ``NOISE_VAR`` to its ``value`` for the loss.
 
-    A high-SNR config is a ``ValueError``: its population loss is not a
-    power of a norm.  ``PowNormObjective``'s Gram floor applies, so a
-    badly conditioned S (the default decaying covariance from d = 18 on)
-    raises ``AssumptionViolationError``.
+    A nonzero theta_star (high SNR) is a ``ValueError``: that population
+    loss is not a power of a norm.  ``PowNormObjective``'s Gram floor
+    applies, so a badly conditioned S (the default decaying covariance from
+    d = 18 on) raises ``AssumptionViolationError``.
     """
-    if config.regime != REGIME_LOW_SNR:
+    if np.any(config.theta_star != 0.0):
         raise ValueError("the population loss is a pow-norm only at low SNR")
     # (2p-1)!!, the 2p-th moment of a standard normal
     moment = math.prod(range(1, 2 * config.p, 2))
@@ -154,7 +131,7 @@ def generate_dataset(config: GlmModelConfig, n: int, seed: int) -> EmpiricalGlmL
     z = rng.normals(rng.derive_seed(seed, _STREAM_FEATURES), n * config.d)
     x = z.reshape(n, config.d) @ config.cov_sqrt.T
     noise = rng.normals(rng.derive_seed(seed, _STREAM_NOISE), n)
-    y = (x @ config.theta_star) ** config.p + config.noise_std * noise
+    y = (x @ config.theta_star) ** config.p + noise
     return EmpiricalGlmLoss(x, y, config.p)
 
 
@@ -272,14 +249,13 @@ def run_glm_method(
     theta0,
     config: SolverConfig,
     theta_ref,
-    noise_var: float = 1.0,
 ):
     """Run one of ``METHODS`` on an empirical loss.
 
     ``bfgs`` on a one-dimensional loss runs ``run_scalar_bfgs``, BFGS
     seeded from the fixed ordered pair ``SCALAR_START`` (``theta0`` is
-    not read); the Polyak step uses the model noise variance as the known
-    optimal value (the population loss at the truth).  Every other case
+    not read); the Polyak step uses ``NOISE_VAR`` as the known optimal
+    value (the population loss at the truth).  Every other case
     goes to ``run_method``.
     """
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
@@ -290,7 +266,7 @@ def run_glm_method(
         # the population loss at the truth equals the noise variance, the
         # best available stand-in for the unknown empirical optimum; small
         # samples can start below it, so clamp to keep steps non-negative
-        f_star = min(noise_var, loss.value(np.atleast_1d(theta0)))
+        f_star = min(NOISE_VAR, loss.value(np.atleast_1d(theta0)))
     return run_method(method, loss, theta0, config, f_star, theta_ref)
 
 
@@ -311,7 +287,9 @@ def run_radius_sweep(
     when theta_star is nonzero the direction is drawn from the hemisphere
     facing theta_star, since an even link power cannot tell +-theta_star
     apart and starts in the mirror basin converge to the sign the error
-    metric scores as failure.  One-dimensional runs start at the fixed
+    metric scores as failure.  A negative ``init_radius`` would undo that,
+    so anything but a positive, finite one is a ``ValueError`` before any
+    data are drawn, at every d.  One-dimensional runs start at the fixed
     ordered pair.  Trials are independent given their derived seeds; rows
     come out sorted by n, then trial, regardless of evaluation order.
     """
@@ -322,6 +300,8 @@ def run_radius_sweep(
         raise ValueError("need at least one trial")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if not 0.0 < init_radius < math.inf:
+        raise ValueError("init_radius must be positive and finite")
     rows = []
     for i_n, n in enumerate(n_grid):
         for trial in range(trials):
@@ -335,9 +315,7 @@ def run_radius_sweep(
             if float(direction @ config.theta_star) < 0:
                 direction = -direction
             theta0 = config.theta_star + init_radius * direction
-            trace = run_glm_method(
-                method, train, theta0, solver, config.theta_star, config.noise_var
-            )
+            trace = run_glm_method(method, train, theta0, solver, config.theta_star)
             rows.append(
                 RadiusTrialRow(
                     n=n,

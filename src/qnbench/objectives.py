@@ -327,16 +327,9 @@ class EmpiricalGlmLoss:
 
 
 def central_difference_gradient(func, theta, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function (independent oracle)."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
-    for i in range(theta.size):
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (func(hi) - func(lo)) / (2.0 * step)
-    return out
+    """Central-difference gradient of a scalar function (independent oracle):
+    the one-row Jacobian of ``[func]``."""
+    return central_difference_jacobian(lambda t: [func(t)], theta, step)[0]
 
 
 def central_difference_jacobian(vec_func, theta, step: float = FD_STEP) -> np.ndarray:

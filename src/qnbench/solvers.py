@@ -55,8 +55,8 @@ METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs")
 class SolverConfig:
     """Run limits shared by all methods.
 
-    ``step_size`` is read by gd-constant only; Newton and BFGS always take
-    unit steps.
+    ``step_size`` is read by gd-constant only, which needs it positive and
+    finite; Newton and BFGS always take unit steps.
     """
 
     step_size: float = 0.1
@@ -210,8 +210,8 @@ def _vector_start(objective, theta0, theta_ref, evaluate=None):
 def run_gd_constant(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """Gradient descent theta <- theta - step_size * grad(theta)."""
     config = config or SolverConfig()
-    if config.step_size <= 0:
-        raise ValueError("gd-constant needs a positive step_size")
+    if not 0.0 < config.step_size < math.inf:
+        raise ValueError("gd-constant needs a positive finite step_size")
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
 
     def step(theta, _loss, grad):

@@ -14,9 +14,9 @@ import pytest
 from qnbench import acceptance, rng, solvers
 from qnbench.cli import main as cli_main
 from qnbench.glmsim import (
-    GlmModelConfig,
     generate_dataset,
     fit_loglog_slope,
+    high_snr_config,
     low_snr_config,
     run_radius_sweep,
 )
@@ -73,13 +73,9 @@ def test_criterion_9_statistical_radius_slopes():
     )
     ok = abs(low.fitted_slope - (-0.25)) <= 0.08
 
-    high_config = GlmModelConfig(
-        4, 2, rng.unit_vector(4, rng.derive_seed(11, 17)), cov=np.ones(4),
-        regime="high-snr",
-    )
     high = run_radius_sweep(
-        high_config, solver, n_grid, trials=40, seed0=11, init_radius=1.0,
-        method="bfgs",
+        high_snr_config(4, 2, 11, cov=np.ones(4)), solver, n_grid, trials=40,
+        seed0=11, init_radius=1.0, method="bfgs",
     )
     ok = ok and abs(high.fitted_slope - (-0.5)) <= 0.1
     # the iteration index of the best error grows no faster than log(n)

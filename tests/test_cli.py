@@ -134,6 +134,14 @@ class TestPopulationCommand:
         assert run_cli("population", *sizes, "--out", tmp_path / "x.csv") == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("step", ["inf", "nan", "0"])
+    def test_rejects_bad_step_without_writing(self, tmp_path, step):
+        code = run_cli(
+            "population", "--iters", 5, "--step", step, "--out", tmp_path / "x.csv"
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_gd_is_a_diverged_stop(self, tmp_path):
         # at this step the pow-norm value overflows on the third iterate
         out = tmp_path / "population.csv"
@@ -206,6 +214,15 @@ class TestEmpiricalCommand:
 
     def test_rejects_zero_trials_without_writing(self, tmp_path):
         code = run_cli("empirical", "--trials", 0, "--n", 100, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_rejects_non_finite_gd_step_without_writing(self, tmp_path, step):
+        code = run_cli(
+            "empirical", "--n", 100, "--trials", 1, "--iters", 5, "--gd-step", step,
+            "--out", tmp_path / "x.csv",
+        )
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
@@ -286,6 +303,16 @@ class TestRadiusCommand:
         code = run_cli(
             "radius", "--method", method, "--d", d, "--n-grid", "50,100,200",
             "--trials", 2, "--out", tmp_path / "radius.csv",
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    def test_rejects_bad_init_radius_without_writing(self, tmp_path, radius):
+        code = run_cli(
+            "radius", "--regime", "high-snr", "--cov", "isotropic",
+            "--n-grid", "100,1000,10000", "--trials", 8, "--init-radius", radius,
+            "--seed", 11, "--out", tmp_path / "radius.csv",
         )
         assert code == 2
         assert list(tmp_path.iterdir()) == []

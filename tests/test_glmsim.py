@@ -6,6 +6,7 @@ import pytest
 from qnbench import rng
 from qnbench.objectives import AssumptionViolationError
 from qnbench.glmsim import (
+    NOISE_VAR,
     GlmModelConfig,
     default_covariance_diagonal,
     early_stop_by_validation,
@@ -26,49 +27,58 @@ class TestConfig:
     def test_default_covariance_halves_per_axis(self):
         assert default_covariance_diagonal(3) == pytest.approx([0.25, 0.0625, 0.015625])
 
+    @pytest.mark.parametrize("theta_star", [[0.0, 0.0], [0.6, -0.8], [0.0, -1.0]])
+    def test_truth_is_zero_or_unit(self, theta_star):
+        config = GlmModelConfig(2, 2, np.array(theta_star))
+        assert np.array_equal(config.theta_star, theta_star)
+
     def test_low_snr_requires_zero_truth(self):
-        with pytest.raises(ValueError):
-            GlmModelConfig(2, 2, np.array([0.1, 0.0]), regime="low-snr")
+        with pytest.raises(ValueError, match="zero .* or finite with unit norm"):
+            GlmModelConfig(2, 2, np.array([0.1, 0.0]))
 
     def test_high_snr_requires_unit_truth(self):
-        with pytest.raises(ValueError):
-            GlmModelConfig(2, 2, np.array([2.0, 0.0]), regime="high-snr")
+        for theta_star in ([2.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [1.0, 1e-4]):
+            with pytest.raises(ValueError, match="zero .* or finite with unit norm"):
+                GlmModelConfig(2, 2, np.array(theta_star))
 
     def test_high_snr_helper_draws_unit_vector(self):
         config = high_snr_config(4, 2, seed=5)
         assert np.linalg.norm(config.theta_star) == pytest.approx(1.0, abs=1e-12)
 
-    def test_full_covariance_must_be_spd(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(ValueError):
-            GlmModelConfig(2, 2, np.zeros(2), cov=bad)
+    def test_covariance_is_diagonal(self):
+        config = GlmModelConfig(2, 2, np.zeros(2), cov=[4.0, 0.25])
+        assert np.array_equal(config.cov_sqrt, np.diag([2.0, 0.5]))
 
-    def test_full_covariance_square_root(self):
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        config = GlmModelConfig(2, 2, np.zeros(2), cov=cov)
-        assert config.cov_sqrt @ config.cov_sqrt.T == pytest.approx(cov, rel=1e-12)
+    @pytest.mark.parametrize(
+        "cov",
+        [[np.nan, 1.0], [0.0, 1.0], [-1.0, 1.0], [np.inf, 1.0], [1.0],
+         [[2.0, 0.5], [0.5, 1.0]]],
+        ids=["nan", "zero", "negative", "inf", "short", "spd-matrix"],
+    )
+    def test_rejects_bad_variances(self, cov):
+        with pytest.raises(ValueError, match="d positive, finite variances"):
+            GlmModelConfig(2, 2, np.zeros(2), cov=cov)
 
 
 class TestLowSnrPopulationObjective:
     def test_scalar_value(self):
-        config = low_snr_config(1, 2, cov=np.ones(1), noise_std=0.0)
+        config = low_snr_config(1, 2, cov=np.ones(1))
         obj = low_snr_population_objective(config)
         assert obj.value(np.array([1.0])) == pytest.approx(3.0, rel=1e-14)
 
     def test_noise_floor_at_origin(self):
-        config = low_snr_config(3, 2, cov=np.ones(3), noise_std=1.3)
+        config = low_snr_config(3, 2, cov=np.ones(3))
         obj = low_snr_population_objective(config)
-        assert obj.value(np.zeros(3)) + config.noise_var == 1.3 ** 2
+        assert obj.value(np.zeros(3)) + NOISE_VAR == 1.0
 
     def test_p3_example(self):
-        config = low_snr_config(2, 3, cov=np.ones(2), noise_std=1.0)
+        config = low_snr_config(2, 3, cov=np.ones(2))
         obj = low_snr_population_objective(config)
-        loss = obj.value(np.array([1.0, 0.0])) + config.noise_var
+        loss = obj.value(np.array([1.0, 0.0])) + NOISE_VAR
         assert loss == pytest.approx(16.0, rel=1e-14)
 
     def test_even_in_theta(self):
-        cov = np.array([[1.09, 0.21], [0.21, 0.49]])
-        obj = low_snr_population_objective(low_snr_config(2, 2, cov=cov, noise_std=0.5))
+        obj = low_snr_population_objective(low_snr_config(2, 2, cov=[1.09, 0.49]))
         theta = rng.normals(46, 2)
         assert obj.value(theta) == obj.value(-theta)
 
@@ -109,15 +119,14 @@ class TestGenerateDataset:
         b = generate_dataset(config, 64, seed=10)
         assert not np.array_equal(a.x, b.x)
 
-    def test_degenerate_model_yields_zero_labels(self):
-        config = low_snr_config(2, 2, noise_std=0.0)
-        loss = generate_dataset(config, 50, seed=11)
-        assert np.all(loss.y == 0.0)
-
-    def test_noiseless_link_is_exact(self):
-        config = high_snr_config(1, 2, seed=12, noise_std=0.0)
-        loss = generate_dataset(config, 80, seed=12)
-        expected = (loss.x[:, 0] * config.theta_star[0]) ** 2
+    @pytest.mark.parametrize(
+        "config", [low_snr_config(2, 2), high_snr_config(3, 3, seed=12)],
+        ids=["low-snr", "high-snr"],
+    )
+    def test_labels_are_link_plus_unit_noise(self, config):
+        loss = generate_dataset(config, 80, seed=11)
+        noise = rng.normals(rng.derive_seed(11, 1), 80)
+        expected = (loss.x @ config.theta_star) ** config.p + noise
         assert np.array_equal(loss.y, expected)
 
     def test_labels_have_zero_mean_under_pure_noise(self):
@@ -129,10 +138,7 @@ class TestGenerateDataset:
 
     def test_sign_symmetry_for_even_link(self):
         base = high_snr_config(3, 2, seed=14)
-        flipped = GlmModelConfig(
-            3, 2, -base.theta_star, cov=base.cov, noise_std=base.noise_std,
-            regime="high-snr",
-        )
+        flipped = GlmModelConfig(3, 2, -base.theta_star, cov=base.cov)
         a = generate_dataset(base, 60, seed=15)
         b = generate_dataset(flipped, 60, seed=15)
         assert np.array_equal(a.y, b.y)
@@ -380,6 +386,19 @@ class TestRadiusSweep:
         with pytest.raises(ValueError, match="method"):
             self.sweep(method="sgd")
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("d", [2, 1])
+    def test_bad_init_radius_rejected_before_any_dataset(self, monkeypatch, radius, d):
+        # a negative radius would flip every start into the mirror hemisphere
+        import qnbench.glmsim as glmsim
+
+        def no_data(*args):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(glmsim, "generate_dataset", no_data)
+        with pytest.raises(ValueError, match="init_radius must be positive and finite"):
+            self.sweep(config=low_snr_config(d, 2), init_radius=radius)
+
     def test_no_validation_early_stop(self, monkeypatch):
         # the sweep reads only the training trace; validation is not scored
         import qnbench.glmsim as glmsim
@@ -400,8 +419,11 @@ class TestRadiusSweep:
 
     def test_noiseless_identifiability_up_to_sign(self):
         # high SNR without noise: the solver lands on the truth (or its mirror)
-        config = high_snr_config(3, 2, seed=32, noise_std=0.0)
-        loss = generate_dataset(config, 400, seed=33)
+        from qnbench.objectives import EmpiricalGlmLoss
+
+        config = high_snr_config(3, 2, seed=32)
+        full = generate_dataset(config, 400, seed=33)
+        loss = EmpiricalGlmLoss(full.x, (full.x @ config.theta_star) ** 2, 2)
         theta0 = config.theta_star + 0.3 * rng.unit_vector(3, 34)
         trace = run_bfgs(
             loss, theta0, SolverConfig(max_iters=80),
@@ -421,7 +443,7 @@ class TestRadiusSweep:
             n_grid, trials=15, seed0=35, init_radius=2.0, method="bfgs",
         )
         high = run_radius_sweep(
-            GlmModelConfig(4, 2, rng.unit_vector(4, 36), cov=np.ones(4), regime="high-snr"),
+            GlmModelConfig(4, 2, rng.unit_vector(4, 36), cov=np.ones(4)),
             SolverConfig(max_iters=60),
             n_grid, trials=15, seed0=35, init_radius=1.0, method="bfgs",
         )

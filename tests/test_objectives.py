@@ -401,8 +401,9 @@ class TestEmpiricalGlmMoments:
         # the polynomial cancels to within rounding of zero here, and below
         # it on about two fits in five
         for seed in range(20):
-            config = glmsim.high_snr_config(d, p, seed, noise_std=0.0)
-            loss = glmsim.generate_dataset(config, 400, seed)
+            config = glmsim.high_snr_config(d, p, seed)
+            full = glmsim.generate_dataset(config, 400, seed)
+            loss = EmpiricalGlmLoss(full.x, (full.x @ config.theta_star) ** p, p)
             assert loss.uses_moments
             truth = config.theta_star
             assert loss.value(truth) >= 0.0

@@ -99,8 +99,11 @@ class TestGdConstant:
         assert best_gd_error > bfgs.errors[-1]
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            run_gd_constant(scalar_quartic(), np.array([1.0]), SolverConfig(step_size=0.0))
+        for step in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive finite step_size"):
+                run_gd_constant(
+                    scalar_quartic(), np.array([1.0]), SolverConfig(step_size=step)
+                )
 
 
 class TestGdPolyak:
