@@ -10,13 +10,11 @@ reported iterate is picked by validation loss instead of taken last.
 
 import numpy as np
 
-from qnbench import rng
 from qnbench.glmsim import (
+    draw_trial,
     early_stop_by_validation,
-    generate_dataset,
     low_snr_config,
     run_glm_method,
-    split_train_validation,
 )
 from qnbench.solvers import METHODS, SolverConfig
 
@@ -24,9 +22,7 @@ from qnbench.solvers import METHODS, SolverConfig
 def main():
     config = low_snr_config(4, 2, cov=np.ones(4))
     n, seed = 10_000, 7
-    full = generate_dataset(config, n, seed)
-    train, val = split_train_validation(full)
-    theta0 = config.theta_star + rng.unit_vector(4, rng.derive_seed(seed, 2))
+    train, val, theta0 = draw_trial(config, n, seed, 1.0)
     print(f"low-SNR phase retrieval: n={n}, d=4, 90/10 train/validation split")
     print(f"{'method':>12} {'best error':>12} {'at iter':>8} "
           f"{'early-stop error':>17} {'at iter':>8} {'stop':>18}")

@@ -44,6 +44,7 @@ from .glmsim import (
     GlmModelConfig,
     RadiusSweepResult,
     RadiusTrialRow,
+    draw_trial,
     early_stop_by_validation,
     fit_loglog_slope,
     generate_dataset,

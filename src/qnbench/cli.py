@@ -34,13 +34,12 @@ import numpy as np
 
 from . import __version__, rng
 from .glmsim import (
-    generate_dataset,
+    draw_trial,
     early_stop_by_validation,
     high_snr_config,
     low_snr_config,
     run_glm_method,
     run_radius_sweep,
-    split_train_validation,
 )
 from .objectives import AssumptionViolationError, random_pow_norm_objective
 from .rates import contraction_gap_table, contraction_sequence
@@ -103,8 +102,20 @@ def _parse_config_file(path: Path, names):
     return values
 
 
+def _one_line(what, text):
+    """Reject a value with a line break: the manifest is one key=value line
+    per value, so a break would forge lines of its own.  A break is any
+    boundary ``str.splitlines`` splits at, CR and LF among them."""
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"{what} must not contain a line break: {text!r}")
+
+
 def _resolve(args, spec):
-    """Merge flag values, config-file values, and defaults, in that order."""
+    """Merge flag values, config-file values, and defaults, in that order.
+
+    Text values, and ``QNBENCH_OUT_DIR``, must not contain a line break.
+    """
+    _one_line(ENV_OUT_DIR, os.environ.get(ENV_OUT_DIR, ""))
     file_values = {}
     if getattr(args, "config", None):
         names = [name for name, _kind, _default in spec]
@@ -118,6 +129,10 @@ def _resolve(args, spec):
             resolved[name] = _cast(kind, file_values[name])
         else:
             resolved[name] = default
+        if kind in ("str", "strs") and resolved[name] is not None:
+            values = [resolved[name]] if kind == "str" else resolved[name]
+            for value in values:
+                _one_line(f"--{name}", value)
     return resolved
 
 
@@ -327,11 +342,7 @@ def cmd_empirical(params) -> int:
     interrupted = []  # runs ending in divergence or secant breakdown
     for trial in range(params["trials"]):
         data_seed = rng.derive_seed(params["seed"], trial)
-        full = generate_dataset(config, params["n"], data_seed)
-        train, val = split_train_validation(full)
-        theta0 = config.theta_star + rng.unit_vector(
-            config.d, rng.derive_seed(data_seed, 2)
-        )
+        train, val, theta0 = draw_trial(config, params["n"], data_seed, 1.0)
         for method in METHODS:
             trace = run_glm_method(method, train, theta0, solver, config.theta_star)
             if trace.stop_reason in STOPS_INTERRUPTED:

@@ -35,10 +35,10 @@ _STREAM_FEATURES = 0
 _STREAM_NOISE = 1
 _STREAM_INIT = 2
 
-# Fixed starting pair (theta0, theta_prev) of ``run_scalar_bfgs`` for
-# one-dimensional runs: ordered, positive, and well above any desk-scale
-# statistical radius.
-SCALAR_START = (0.999, 1.0)
+# A one-dimensional BFGS run starts at theta0, then at the point this
+# share of the way from theta_ref to theta0: a secant pair close together,
+# on the side of theta_ref that theta0 is on.
+_SCALAR_PULL = 0.999
 
 # Share of a dataset that ``split_train_validation`` keeps for training.
 _TRAIN_FRACTION = 0.9
@@ -87,7 +87,6 @@ class GlmModelConfig:
         if cov.shape != (self.d,) or not np.all((cov > 0.0) & np.isfinite(cov)):
             raise ValueError("cov must be d positive, finite variances")
         self.cov = cov
-        self.cov_sqrt = np.diag(np.sqrt(cov))
 
 
 def low_snr_config(d: int, p: int, cov=None) -> GlmModelConfig:
@@ -107,7 +106,7 @@ def low_snr_population_objective(config: GlmModelConfig) -> PowNormObjective:
 
     With theta_star = 0, ``E (y - (x' theta)**p)**2 = (2p-1)!! ||S theta||**(2p)
     + NOISE_VAR`` for S the diagonal covariance square root
-    ``config.cov_sqrt``: the pow-norm objective with
+    ``diag(sqrt(config.cov))``: the pow-norm objective with
     ``A = ((2p-1)!!)**(1/(2p)) S``, ``theta_opt = 0`` and ``q = 2p``.  Add
     ``NOISE_VAR`` to its ``value`` for the loss.
 
@@ -121,7 +120,9 @@ def low_snr_population_objective(config: GlmModelConfig) -> PowNormObjective:
     # (2p-1)!!, the 2p-th moment of a standard normal
     moment = math.prod(range(1, 2 * config.p, 2))
     scale = moment ** (1.0 / (2 * config.p))
-    return PowNormObjective(scale * config.cov_sqrt, np.zeros(config.d), 2 * config.p)
+    return PowNormObjective(
+        np.diag(scale * np.sqrt(config.cov)), np.zeros(config.d), 2 * config.p
+    )
 
 
 def generate_dataset(config: GlmModelConfig, n: int, seed: int) -> EmpiricalGlmLoss:
@@ -129,7 +130,7 @@ def generate_dataset(config: GlmModelConfig, n: int, seed: int) -> EmpiricalGlmL
     if n < 1:
         raise ValueError("need at least one sample")
     z = rng.normals(rng.derive_seed(seed, _STREAM_FEATURES), n * config.d)
-    x = z.reshape(n, config.d) @ config.cov_sqrt.T
+    x = z.reshape(n, config.d) * np.sqrt(config.cov)
     noise = rng.normals(rng.derive_seed(seed, _STREAM_NOISE), n)
     y = (x @ config.theta_star) ** config.p + noise
     return EmpiricalGlmLoss(x, y, config.p)
@@ -145,6 +146,27 @@ def split_train_validation(loss: EmpiricalGlmLoss):
     train = EmpiricalGlmLoss(loss.x[:n_train], loss.y[:n_train], loss.p)
     val = EmpiricalGlmLoss(loss.x[n_train:], loss.y[n_train:], loss.p)
     return train, val
+
+
+def draw_trial(config: GlmModelConfig, n: int, data_seed: int, init_radius: float):
+    """One GLM trial: ``(train, val, theta0)``.
+
+    The n samples drawn at ``data_seed`` are split by
+    ``split_train_validation``, and the start is theta_star + init_radius *
+    u for u a uniform unit vector from its own stream of ``data_seed``.
+    When theta_star is nonzero, u is turned into the hemisphere facing
+    theta_star: an even link power cannot tell +-theta_star apart, and a
+    start in the mirror basin converges to the sign the error metric scores
+    as failure.  A negative ``init_radius`` would undo that, so anything
+    but a positive, finite one is a ``ValueError`` before any data are drawn.
+    """
+    if not 0.0 < init_radius < math.inf:
+        raise ValueError("init_radius must be positive and finite")
+    train, val = split_train_validation(generate_dataset(config, n, data_seed))
+    direction = rng.unit_vector(config.d, rng.derive_seed(data_seed, _STREAM_INIT))
+    if float(direction @ config.theta_star) < 0:
+        direction = -direction
+    return train, val, config.theta_star + init_radius * direction
 
 
 def scalar_moment_ratio(loss: EmpiricalGlmLoss) -> float:
@@ -250,17 +272,20 @@ def run_glm_method(
     config: SolverConfig,
     theta_ref,
 ):
-    """Run one of ``METHODS`` on an empirical loss.
+    """Run one of ``METHODS`` on an empirical loss from ``theta0``.
 
-    ``bfgs`` on a one-dimensional loss runs ``run_scalar_bfgs``, BFGS
-    seeded from the fixed ordered pair ``SCALAR_START`` (``theta0`` is
-    not read); the Polyak step uses ``NOISE_VAR`` as the known optimal
-    value (the population loss at the truth).  Every other case
-    goes to ``run_method``.
+    ``bfgs`` on a one-dimensional loss runs ``run_scalar_bfgs`` from the
+    ordered pair theta0, then theta_ref + 0.999 (theta0 - theta_ref); the
+    Polyak step uses ``NOISE_VAR`` as the known optimal value (the
+    population loss at the truth).  Every other case goes to
+    ``run_method``.
     """
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
     if method == "bfgs" and loss.d == 1:
-        return run_scalar_bfgs(loss, *SCALAR_START, config, float(theta_ref[0]))
+        start, ref = float(np.atleast_1d(theta0)[0]), float(theta_ref[0])
+        return run_scalar_bfgs(
+            loss, ref + _SCALAR_PULL * (start - ref), start, config, ref
+        )
     f_star = 0.0
     if method == "gd-polyak":
         # the population loss at the truth equals the noise variance, the
@@ -279,19 +304,13 @@ def run_radius_sweep(
     init_radius: float = 1.0,
     method: str = "bfgs",
 ) -> RadiusSweepResult:
-    """Sweep sample sizes: per (n, trial), generate data, run ``method``
-    through ``run_glm_method``, record the minimum error to theta_star, and
-    fit the log-log slope of the per-size medians.
+    """Sweep sample sizes: per (n, trial), draw a trial with ``draw_trial``,
+    run ``method`` on its training part through ``run_glm_method``, record
+    the minimum error to theta_star, and fit the log-log slope of the
+    per-size medians.
 
-    Vector runs start at theta_star + init_radius * (uniform unit vector);
-    when theta_star is nonzero the direction is drawn from the hemisphere
-    facing theta_star, since an even link power cannot tell +-theta_star
-    apart and starts in the mirror basin converge to the sign the error
-    metric scores as failure.  A negative ``init_radius`` would undo that,
-    so anything but a positive, finite one is a ``ValueError`` before any
-    data are drawn, at every d.  One-dimensional runs start at the fixed
-    ordered pair.  Trials are independent given their derived seeds; rows
-    come out sorted by n, then trial, regardless of evaluation order.
+    Trials are independent given their derived seeds; rows come out sorted
+    by n, then trial, regardless of evaluation order.
     """
     n_grid = [int(n) for n in n_grid]
     if any(later <= earlier for earlier, later in zip(n_grid, n_grid[1:])):
@@ -300,21 +319,12 @@ def run_radius_sweep(
         raise ValueError("need at least one trial")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if not 0.0 < init_radius < math.inf:
-        raise ValueError("init_radius must be positive and finite")
     rows = []
     for i_n, n in enumerate(n_grid):
         for trial in range(trials):
             data_seed = rng.derive_seed(seed0, i_n, trial)
-            full = generate_dataset(config, n, data_seed)
             # the radius is measured on the training nine tenths alone
-            train, _val = split_train_validation(full)
-            direction = rng.unit_vector(
-                config.d, rng.derive_seed(data_seed, _STREAM_INIT)
-            )
-            if float(direction @ config.theta_star) < 0:
-                direction = -direction
-            theta0 = config.theta_star + init_radius * direction
+            train, _val, theta0 = draw_trial(config, n, data_seed, init_radius)
             trace = run_glm_method(method, train, theta0, solver, config.theta_star)
             rows.append(
                 RadiusTrialRow(

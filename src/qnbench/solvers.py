@@ -444,13 +444,17 @@ def run_bfgs(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """Matrix BFGS with unit step, seeded with the exact inverse Hessian at
     ``theta0``: the seed under which the contraction-factor theory is
     exact.  The seed is symmetric to the bit, and the updates, made in
-    place, keep it so (see ``flush_pairs``).  The iteration itself is
+    place, keep it so (see ``flush_pairs``).  A start with a zero gradient
+    (a minimizer, where the Hessian may be singular) stops at grad-tol
+    before any step, so it builds no seed.  The iteration itself is
     ``_run_bfgs``.
     """
     config = config or SolverConfig()
-    with np.errstate(all="ignore"):  # as the start is: see _vector_start
-        h = initial_inverse_hessian(objective, np.asarray(theta0, dtype=float))
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
+    h = None
+    with np.errstate(all="ignore"):  # as the start is: see _vector_start
+        if _norm(start[2]) != 0.0:
+            h = initial_inverse_hessian(objective, start[0])
     return _run_bfgs(objective.value_and_gradient, [start], h, config, theta_ref)
 
 
@@ -464,8 +468,9 @@ def _curvature(s, u):
 
 def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
     """The BFGS iteration from the evaluated ``starts`` (see ``_iterate``)
-    and the seed ``h``, updated in place, or ``None`` when the starting pair
-    has broken down: the run then stops at its first step.
+    and the seed ``h``, updated in place, or ``None`` when there is none:
+    the run then stops at its first step, at grad-tol from a zero start
+    gradient and as a secant breakdown from a broken-down starting pair.
 
     The run holds ``h`` as a ``_InverseHessian``: one product with the
     dense matrix per step, and the pending updates added to it every

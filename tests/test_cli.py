@@ -14,6 +14,7 @@ import qnbench
 import qnbench.cli
 from qnbench import acceptance
 from qnbench.cli import _write_csv, main
+from qnbench.glmsim import high_snr_config
 from qnbench.rates import contraction_gap_table, contraction_sequence
 from qnbench.solvers import METHODS
 from qnbench.svg import line_chart
@@ -77,6 +78,22 @@ class TestFactorsCommand:
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert run_cli("factors", "--out", missing) == 3
+
+    def test_line_break_in_out_is_usage_error_without_writing(self, tmp_path):
+        # the name would forge a q=99.csv line in the manifest
+        code = run_cli("factors", "--q", 4, "--k-max", 3, "--out", tmp_path / "g\nq=99.csv")
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out_dir", ["a\nq=99", "a\rb", "a\u2028b"])
+    def test_line_break_in_out_dir_is_usage_error_without_writing(
+        self, tmp_path, monkeypatch, out_dir
+    ):
+        base = tmp_path / out_dir
+        base.mkdir()
+        monkeypatch.setenv("QNBENCH_OUT_DIR", str(base))
+        assert run_cli("factors", "--k-max", 3, "--out", "factors.csv") == 2
+        assert list(base.iterdir()) == []
 
     def test_rejects_negative_k_max_without_writing(self, tmp_path):
         assert run_cli("factors", "--k-max", -1, "--out", tmp_path / "x.csv") == 2
@@ -226,6 +243,25 @@ class TestEmpiricalCommand:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_high_snr_trials_start_facing_theta_star_at_error_one(
+        self, tmp_path, monkeypatch, d
+    ):
+        runs = record_calls(monkeypatch, "run_glm_method")
+        out = tmp_path / "empirical.csv"
+        code = run_cli(
+            "empirical", "--regime", "high-snr", "--d", d, "--n", 200, "--trials", 3,
+            "--iters", 5, "--seed", 4, "--out", out,
+        )
+        assert code == 0
+        assert len(runs) == 3 * len(METHODS)
+        for (method, _train, theta0, _solver, theta_star), trace in runs:
+            step = theta0 - theta_star
+            assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-15)
+            assert step @ theta_star > 0.0
+            if d == 1:  # theta0 = 2 theta_star: the error is 1 to the bit
+                assert trace.errors[0] == 1.0
+
     def test_val_loss_column_is_early_stop_losses(self, tmp_path, monkeypatch):
         import qnbench.cli
         from qnbench.glmsim import early_stop_by_validation
@@ -316,6 +352,19 @@ class TestRadiusCommand:
         )
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed,theta_star", [(1, 1.0), (4, -1.0)])
+    def test_high_snr_scalar_slope_is_negative(self, tmp_path, seed, theta_star):
+        # d = 1 runs start at theta_star + init_radius on theta_star's side
+        assert high_snr_config(1, 2, seed).theta_star.tolist() == [theta_star]
+        out = tmp_path / "radius.csv"
+        code = run_cli(
+            "radius", "--regime", "high-snr", "--d", 1, "--n-grid", "100,1000,10000",
+            "--trials", 8, "--seed", seed, "--out", out,
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert float(rows[-1][1]) < 0.0
 
     def test_zero_median_is_usage_error_without_writing(self, tmp_path, capsys):
         # at d = 1 the secant runs reach an error of exactly 0 on most
@@ -506,6 +555,19 @@ class TestSvgCommand:
         points = text.split('points="')[1].split('"')[0]
         assert len(points.split()) == 2
         assert f"{data}.manifest" in text
+
+    def test_line_break_in_title_is_usage_error_without_writing(self, tmp_path):
+        # the title would forge an artifact= line in the manifest
+        data = tmp_path / "data.csv"
+        self.write_csv(data, [(0, 1), (1, 2)])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            "svg", "--in", data, "--x-col", "x", "--y-cols", "y",
+            "--title", "x\nartifact=/etc/passwd", "--out", out_dir / "chart.svg",
+        )
+        assert code == 2
+        assert list(out_dir.iterdir()) == []
 
     def test_log_axis_rejects_zero_with_row_number(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnbench import rng
 from qnbench.objectives import AssumptionViolationError
@@ -9,6 +11,7 @@ from qnbench.glmsim import (
     NOISE_VAR,
     GlmModelConfig,
     default_covariance_diagonal,
+    draw_trial,
     early_stop_by_validation,
     fit_loglog_slope,
     generate_dataset,
@@ -46,8 +49,11 @@ class TestConfig:
         assert np.linalg.norm(config.theta_star) == pytest.approx(1.0, abs=1e-12)
 
     def test_covariance_is_diagonal(self):
+        # the features are standard normals scaled per axis by sqrt(cov)
         config = GlmModelConfig(2, 2, np.zeros(2), cov=[4.0, 0.25])
-        assert np.array_equal(config.cov_sqrt, np.diag([2.0, 0.5]))
+        assert np.array_equal(config.cov, [4.0, 0.25])
+        z = rng.normals(rng.derive_seed(3, 0), 16).reshape(8, 2)
+        assert np.array_equal(generate_dataset(config, 8, seed=3).x, z * [2.0, 0.5])
 
     @pytest.mark.parametrize(
         "cov",
@@ -92,7 +98,7 @@ class TestLowSnrPopulationObjective:
         coeff = {2: 3, 3: 15}[p]
         for seed in range(10):
             theta = rng.normals(rng.derive_seed(47, p, seed), 4)
-            expected = coeff * np.linalg.norm(config.cov_sqrt @ theta) ** (2 * p)
+            expected = coeff * np.linalg.norm(np.sqrt(config.cov) * theta) ** (2 * p)
             assert obj.value(theta) == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_high_snr(self):
@@ -142,6 +148,30 @@ class TestGenerateDataset:
         a = generate_dataset(base, 60, seed=15)
         b = generate_dataset(flipped, 60, seed=15)
         assert np.array_equal(a.y, b.y)
+
+
+class TestDrawTrial:
+    def test_splits_the_dataset_of_its_seed(self):
+        config = low_snr_config(2, 2)
+        train, val, _theta0 = draw_trial(config, 100, 16, 1.0)
+        expected = split_train_validation(generate_dataset(config, 100, 16))
+        for got, want in zip((train, val), expected):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_high_snr_start_faces_theta_star_at_the_radius(self, d, radius):
+        for seed in range(8):
+            config = high_snr_config(d, 2, seed)
+            for trial in range(4):
+                _train, _val, theta0 = draw_trial(config, 20, 100 * seed + trial, radius)
+                step = theta0 - config.theta_star
+                assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-15)
+                assert step @ config.theta_star > 0.0
+
+    def test_low_snr_start_is_the_unit_vector_of_its_stream(self):
+        _train, _val, theta0 = draw_trial(low_snr_config(3, 2), 50, 19, 2.0)
+        assert np.array_equal(theta0, 2.0 * rng.unit_vector(3, rng.derive_seed(19, 2)))
 
 
 class TestSplit:
@@ -309,10 +339,7 @@ class TestEarlyStop:
         config = low_snr_config(4, 2)
         ratios = []
         for s in range(40):
-            data_seed = rng.derive_seed(321, s)
-            full = generate_dataset(config, 10_000, data_seed)
-            train, val = split_train_validation(full)
-            theta0 = 2.0 * rng.unit_vector(4, rng.derive_seed(data_seed, 2))
+            train, val, theta0 = draw_trial(config, 10_000, rng.derive_seed(321, s), 2.0)
             trace = run_bfgs(
                 train, theta0, SolverConfig(max_iters=100), np.zeros(4)
             )
@@ -458,13 +485,40 @@ class TestRadiusSweep:
             )
             assert len(result.rows) == 6
 
-    def test_scalar_runs_start_at_the_fixed_pair(self):
-        # theta0 is not read: a d = 1 run starts at 1.0, then 0.999
-        loss = generate_dataset(low_snr_config(1, 2), 1000, seed=38)
-        trace = run_glm_method(
-            "bfgs", loss, np.array([0.5]), SolverConfig(max_iters=5), np.zeros(1)
+    def test_scalar_runs_start_at_theta0_then_pulled_toward_the_truth(self):
+        for config in (low_snr_config(1, 2), high_snr_config(1, 2, seed=4)):
+            loss = generate_dataset(config, 1000, seed=38)
+            theta_star = config.theta_star[0]
+            theta0 = theta_star - 0.5
+            trace = run_glm_method(
+                "bfgs", loss, np.array([theta0]), SolverConfig(max_iters=5),
+                config.theta_star,
+            )
+            assert trace.iterates[:2, 0].tolist() == [
+                theta0, theta_star + 0.999 * (theta0 - theta_star)
+            ]
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        theta0=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.sampled_from([20, 300]),
+    )
+    def test_low_snr_quadratic_scalar_run_from_minus_theta0_is_the_mirror(
+        self, theta0, seed, n
+    ):
+        # the loss is even in theta, so the d = 1 run from -theta0 negates
+        # every iterate and keeps every error and loss to the bit
+        loss = generate_dataset(low_snr_config(1, 2), n, seed)
+        solver = SolverConfig(max_iters=60)
+        plus, minus = (
+            run_glm_method("bfgs", loss, np.array([t]), solver, np.zeros(1))
+            for t in (theta0, -theta0)
         )
-        assert trace.iterates[:2, 0].tolist() == [1.0, 0.999]
+        assert np.array_equal(minus.iterates, -plus.iterates)
+        assert np.array_equal(minus.errors, plus.errors)
+        assert np.array_equal(minus.losses, plus.losses)
+        assert minus.stop_reason == plus.stop_reason
 
     def test_unknown_method_rejected(self):
         config = low_snr_config(2, 2)

@@ -818,6 +818,16 @@ class TestStopPrecedence:
         assert trace.losses[-1] == np.inf
         assert trace.stop_reason == STOP_DIVERGED
 
+    @pytest.mark.parametrize("q", [4, 10])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_start_at_the_minimizer_stops_at_grad_tol(self, method, q):
+        # the gradient is exactly zero there and the Hessian singular: no
+        # method steps, and BFGS builds no seed from that Hessian
+        obj = random_pow_norm_objective(3, 6, q, seed=1)
+        trace = run_method(method, obj, obj.theta_opt, SolverConfig(step_size=1e-3))
+        assert len(trace) == 1
+        assert trace.stop_reason == STOP_GRAD_TOL
+
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_start_is_diverged(self, method):
         # ||r||**10 overflows at the start; bfgs's seed H is then zero
