@@ -215,7 +215,8 @@ def fit_loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x), with its standard error.
 
     Each x and y must be positive and finite; a ``ValueError`` names the
-    first point that is not.
+    first point that is not.  All-equal x leave the slope undefined, also
+    a ``ValueError``.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.size != ys.size or xs.size < 2:
@@ -229,6 +230,8 @@ def fit_loglog_slope(xs, ys):
     x, y = np.log(xs), np.log(ys)
     xc = x - x.mean()
     sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise ValueError("cannot fit a log-log slope: all x are equal")
     slope = float(xc @ y) / sxx
     resid = y - (y.mean() + slope * xc)
     dof = x.size - 2
@@ -276,9 +279,9 @@ def run_glm_method(
 
     ``bfgs`` on a one-dimensional loss runs ``run_scalar_bfgs`` from the
     ordered pair theta0, then theta_ref + 0.999 (theta0 - theta_ref); the
-    Polyak step uses ``NOISE_VAR`` as the known optimal value (the
-    population loss at the truth).  Every other case goes to
-    ``run_method``.
+    Polyak step uses ``NOISE_VAR``, the population loss at the truth, as
+    the stand-in for the unknown empirical optimum, so a start below it
+    stops at grad-tol.  Every other case goes to ``run_method``.
     """
     theta_ref = np.atleast_1d(np.asarray(theta_ref, dtype=float))
     if method == "bfgs" and loss.d == 1:
@@ -286,13 +289,7 @@ def run_glm_method(
         return run_scalar_bfgs(
             loss, ref + _SCALAR_PULL * (start - ref), start, config, ref
         )
-    f_star = 0.0
-    if method == "gd-polyak":
-        # the population loss at the truth equals the noise variance, the
-        # best available stand-in for the unknown empirical optimum; small
-        # samples can start below it, so clamp to keep steps non-negative
-        f_star = min(NOISE_VAR, loss.value(np.atleast_1d(theta0)))
-    return run_method(method, loss, theta0, config, f_star, theta_ref)
+    return run_method(method, loss, theta0, config, NOISE_VAR, theta_ref)
 
 
 def run_radius_sweep(

@@ -110,14 +110,18 @@ class PowNormObjective:
         self.m, self.d = a.shape
         self.q = int(q)
         self.theta_opt = _as_vector(theta_opt, self.d, "theta_opt")
+        if not (np.isfinite(a).all() and np.isfinite(self.theta_opt).all()):
+            raise ValueError("a and theta_opt must be finite")
 
-        self._gram = a.T @ a
-        # ascending eigenvalues of A'A: the squared singular values of A
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._gram = a.T @ a
+        # ascending eigenvalues of A'A: the squared singular values of A;
+        # stated positively, so an overflowed (NaN) Gram matrix fails it
         eigs = np.linalg.eigvalsh(self._gram)
-        if eigs[0] < GRAM_POSITIVITY_FLOOR:
+        if not eigs[0] >= GRAM_POSITIVITY_FLOOR:
             raise AssumptionViolationError(
-                f"smallest singular value squared {eigs[0]:.3e} is below "
-                f"the positivity floor {GRAM_POSITIVITY_FLOOR:g}"
+                f"smallest singular value squared {eigs[0]:.3e} is not at "
+                f"least the positivity floor {GRAM_POSITIVITY_FLOOR:g}"
             )
         self.condition_number = float(np.sqrt(eigs[-1] / eigs[0]))
         # the floor tests a rounded eigenvalue, not conditioning, so an

@@ -165,17 +165,24 @@ def _highprec_factors(q, k_max):
         digits += GAP_SPARE_DIGITS - spare
 
 
+def _gap_rows(q, k_max):
+    """Rows ``(r_k, r_*, |r_k - r_*|, (1/2)**k |r_0 - r_*|)`` for
+    k = 0..k_max, as mpmath numbers from ``_highprec_factors``."""
+    factors, r_star = _highprec_factors(q, k_max)
+    gap0 = abs(factors[0] - r_star)
+    return [
+        (r, r_star, abs(r - r_star), gap0 / mpmath.mpf(2) ** k)
+        for k, r in enumerate(factors)
+    ]
+
+
 def envelope_holds(q: int, k_max: int) -> bool:
     """Whether |r_k - r_*| <= (1/2)**k |r_0 - r_*| for every k <= k_max.
 
     Checked in arbitrary precision: the right-hand side drops below any
     double-precision resolution within ~55 steps.
     """
-    factors, r_star = _highprec_factors(q, k_max)
-    gap0 = abs(factors[0] - r_star)
-    return all(
-        abs(r - r_star) <= gap0 / mpmath.mpf(2) ** k for k, r in enumerate(factors)
-    )
+    return all(gap <= envelope for _r, _r_star, gap, envelope in _gap_rows(q, k_max))
 
 
 def contraction_gap_table(q: int, k_max: int):
@@ -184,17 +191,4 @@ def contraction_gap_table(q: int, k_max: int):
     Computed in arbitrary precision then rounded to doubles, so
     ``abs_gap <= envelope`` holds on every row even for k in the hundreds.
     """
-    factors, r_star = _highprec_factors(q, k_max)
-    gap0 = abs(factors[0] - r_star)
-    rows = []
-    for k, r in enumerate(factors):
-        rows.append(
-            (
-                k,
-                float(r),
-                float(r_star),
-                float(abs(r - r_star)),
-                float(gap0 / mpmath.mpf(2) ** k),
-            )
-        )
-    return rows
+    return [(k, *map(float, row)) for k, row in enumerate(_gap_rows(q, k_max))]

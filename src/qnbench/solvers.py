@@ -119,19 +119,18 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     then stop check, step, evaluate and record until a stop.
 
     ``starts`` lists evaluated ``(theta, loss, grad)`` triples, recorded in
-    order; the loop continues from the last.  Before each step, ``check``
-    (when given) sees the last recorded loss and gradient norm and may
-    return a stop reason; then the run stops as diverged at a non-finite
-    loss, gradient norm or error, as converged at a zero gradient norm,
-    and as diverged at an error above ``_DIVERGENCE_CAP``.
-    ``step(theta, loss, grad)`` returns the next iterate, or ``None`` when
-    the run's secant pair has broken down.  After each record,
-    ``after(theta, grad, theta_next, grad_next)`` (when given) may return
-    a stop reason; the new iterate is recorded either way, and a stop
-    there on a non-finite record is diverged.  A run that uses all
-    ``max_iters`` steps and ends on a diverged record is labelled diverged.
-    ``step_info`` maps names to lists that the callbacks fill, one entry
-    per step or update.
+    order; the loop continues from the last.  ``limit_stop`` decides every
+    stop at a record, the one after the last allowed step included: first
+    the generic rules (diverged at a non-finite loss, gradient norm or
+    error, converged at a zero gradient norm, diverged at an error above
+    ``_DIVERGENCE_CAP``), then the method's own rule, the stop reason that
+    ``check(loss)`` (when given) returns for the last recorded loss, and
+    last the budget, max-iters once ``max_iters`` steps are taken.
+    ``step(theta, loss, grad)`` returns the next iterate.  After each
+    record, ``after(theta, grad, theta_next, grad_next)`` (when given) may
+    return a stop reason; the new iterate is recorded either way, and a
+    stop there on a non-finite record is diverged.  ``step_info`` maps
+    names to lists that the callbacks fill, one entry per step or update.
     """
     size = config.max_iters + len(starts)
     iterates = np.empty((size, len(starts[0][0])))
@@ -160,21 +159,17 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
             return STOP_GRAD_TOL
         if errors[count - 1] > _DIVERGENCE_CAP:
             return STOP_DIVERGED
-        return None
+        stop = check(losses[count - 1]) if check else None
+        if stop is None and count == size:
+            return STOP_MAX_ITERS
+        return stop
 
     with np.errstate(all="ignore"):
         for start in starts:
             record(*start)
         theta, loss, grad = starts[-1]
-        for _ in range(config.max_iters):
-            stop = check(losses[count - 1], grad_norms[count - 1]) if check else None
-            stop = stop or limit_stop()
-            if stop is not None:
-                break
+        while (stop := limit_stop()) is None:
             theta_next = step(theta, loss, grad)
-            if theta_next is None:
-                stop = STOP_SECANT_BREAKDOWN
-                break
             loss, grad_next = evaluate(theta_next)
             record(theta_next, loss, grad_next)
             stop = after(theta, grad, theta_next, grad_next) if after else None
@@ -183,8 +178,6 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
                     stop = STOP_DIVERGED
                 break
             theta, grad = theta_next, grad_next
-        else:
-            stop = STOP_DIVERGED if limit_stop() == STOP_DIVERGED else STOP_MAX_ITERS
     return SolverTrace(
         iterates=iterates[:count],
         errors=errors[:count],
@@ -223,26 +216,16 @@ def run_gd_constant(objective, theta0, config=None, theta_ref=None) -> SolverTra
 def run_gd_polyak(objective, theta0, f_star, config=None, theta_ref=None) -> SolverTrace:
     """Gradient descent with the Polyak step (f - f_star) / ||grad||**2.
 
-    ``f_star`` must be the known optimal value (zero for the realizable
-    pow-norm objective).  Reaching f <= f_star stops the run as converged;
-    a zero gradient above f_star is recorded as a secant breakdown (it
-    cannot occur on the convex pow-norm family, but is guarded anyway).
+    ``f_star`` is the known optimal value (zero for the realizable pow-norm
+    objective), and a record with f <= f_star, the start included, stops
+    the run as converged.
     """
     config = config or SolverConfig()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
-    if f_star > start[1]:
-        raise ValueError("f_star must not exceed the starting value")
     step_sizes = []
 
-    def check(loss, grad_norm):
-        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-            return STOP_DIVERGED
-        if loss - f_star <= 0.0:
-            return STOP_GRAD_TOL
-        if grad_norm == 0.0:
-            # stationary but above the target value: cannot step
-            return STOP_SECANT_BREAKDOWN
-        return None
+    def check(loss):
+        return STOP_GRAD_TOL if loss - f_star <= 0.0 else None
 
     def step(theta, loss, grad):
         step_size = (loss - f_star) / float(grad @ grad)
@@ -469,7 +452,7 @@ def _curvature(s, u):
 def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
     """The BFGS iteration from the evaluated ``starts`` (see ``_iterate``)
     and the seed ``h``, updated in place, or ``None`` when there is none:
-    the run then stops at its first step, at grad-tol from a zero start
+    the run then stops at its first record, at grad-tol from a zero start
     gradient and as a secant breakdown from a broken-down starting pair.
 
     The run holds ``h`` as a ``_InverseHessian``: one product with the
@@ -487,8 +470,12 @@ def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
         direction = None if h is None else inverse.times(starts[-1][2])
     curvatures = []
 
+    def no_seed(_loss):
+        # reached past the generic rules only, so at a nonzero gradient
+        return STOP_SECANT_BREAKDOWN
+
     def step(theta, _loss, _grad):
-        return None if direction is None else theta - direction
+        return theta - direction
 
     def after(theta, grad, theta_next, grad_next):
         nonlocal direction
@@ -504,7 +491,8 @@ def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
         return None
 
     return _iterate(
-        evaluate, starts, theta_ref, config, step, after=after,
+        evaluate, starts, theta_ref, config, step,
+        check=no_seed if h is None else None, after=after,
         step_info={"curvature": curvatures},
     )
 

@@ -59,7 +59,7 @@ class TestPowNormValue:
             value, grad = obj.value_and_gradient(1e-3 * u[:, 2])
             assert value >= 0.0 and np.isfinite(grad).all()
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(
         d=st.integers(2, 50),
         extra=st.integers(2, 50),
@@ -218,6 +218,18 @@ class TestPowNormConstruction:
         with pytest.raises(AssumptionViolationError, match="numerically singular"):
             PowNormObjective(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T, np.zeros(3), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            PowNormObjective([[bad, 0.0], [0.0, 1.0]], np.zeros(2), 4)
+        with pytest.raises(ValueError, match="must be finite"):
+            PowNormObjective(np.eye(2), [bad, 0.0], 4)
+
+    def test_overflowing_gram_is_an_assumption_violation(self):
+        # 1e200 squared overflows: A'A holds inf and its eigenvalues are NaN
+        with pytest.raises(AssumptionViolationError, match="nan"):
+            PowNormObjective([[1e200, 0.0], [0.0, 1.0]], np.zeros(2), 4)
+
     def test_target_is_constructed_from_solution(self):
         # b = A theta_opt is implied by the solution, not stored
         obj = random_pow_norm_objective(3, 6, 4, seed=23)
@@ -310,7 +322,7 @@ def max_relative_gap(got, oracle):
 class TestEmpiricalGlmMoments:
     """The sufficient-statistics form against the per-sample formulas."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         d=st.integers(1, 4),
         p=st.integers(2, 4),
