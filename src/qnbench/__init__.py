@@ -53,6 +53,7 @@ from .glmsim import (
     low_snr_population_objective,
     run_glm_method,
     run_radius_sweep,
+    run_trials,
     scalar_moment_ratio,
     split_train_validation,
 )

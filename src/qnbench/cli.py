@@ -34,12 +34,11 @@ import numpy as np
 
 from . import __version__, rng
 from .glmsim import (
-    draw_trial,
     early_stop_by_validation,
     high_snr_config,
     low_snr_config,
-    run_glm_method,
     run_radius_sweep,
+    run_trials,
 )
 from .objectives import AssumptionViolationError, random_pow_norm_objective
 from .rates import contraction_gap_table, contraction_sequence
@@ -334,27 +333,24 @@ def _glm_config(regime, d, p, seed, cov="decaying"):
 def cmd_empirical(params) -> int:
     if params["n"] < 10:
         raise ValueError("need n >= 10")
-    if params["trials"] < 1:
-        raise ValueError("need at least one trial")
     config = _glm_config(params["regime"], params["d"], params["p"], params["seed"])
     solver = SolverConfig(step_size=params["gd-step"], max_iters=params["iters"])
+    plan = [(params["n"], rng.derive_seed(params["seed"], t)) for t in range(params["trials"])]
     blocks = []  # one per run: arrays, formatted only once the last run is done
     interrupted = []  # runs ending in divergence or secant breakdown
-    for trial in range(params["trials"]):
-        data_seed = rng.derive_seed(params["seed"], trial)
-        train, val, theta0 = draw_trial(config, params["n"], data_seed, 1.0)
-        for method in METHODS:
-            trace = run_glm_method(method, train, theta0, solver, config.theta_star)
-            if trace.stop_reason in STOPS_INTERRUPTED:
-                interrupted.append(f"{method}/{trial}:{trace.stop_reason}")
-            choice = early_stop_by_validation(trace, val)
-            n = len(trace)
-            flags = np.zeros(n, dtype=int)
-            flags[choice.index] = 1
-            blocks.append(
-                [[method] * n, np.full(n, trial), np.arange(n), trace.errors,
-                 trace.losses, choice.losses, flags]
-            )
+    runs = run_trials(config, solver, plan, METHODS, 1.0)
+    for number, (_n, _seed, method, trace, val) in enumerate(runs):
+        trial = number // len(METHODS)
+        if trace.stop_reason in STOPS_INTERRUPTED:
+            interrupted.append(f"{method}/{trial}:{trace.stop_reason}")
+        choice = early_stop_by_validation(trace, val)
+        n = len(trace)
+        flags = np.zeros(n, dtype=int)
+        flags[choice.index] = 1
+        blocks.append(
+            [[method] * n, np.full(n, trial), np.arange(n), trace.errors,
+             trace.losses, choice.losses, flags]
+        )
     out = _out_path(params["out"])
     _write_csv(
         out,

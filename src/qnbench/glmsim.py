@@ -14,7 +14,9 @@ At low SNR the population loss, ``(2p-1)!! ||S theta||**(2p)`` plus
 ``low_snr_population_objective`` builds it as one and the solvers run on
 it with exact derivatives.
 
-The sweep machinery reruns a solver across sample sizes and trials,
+``run_trials`` is the one trial loop behind ``empirical`` and ``radius``:
+per (n, data seed) it draws the trial once and runs each method on its
+training part.  The radius sweep feeds it every (size, trial) pair,
 records the best error along each trace against theta_star, and fits the
 log-log slope of the per-size medians — the empirical statistical radius.
 """
@@ -292,6 +294,28 @@ def run_glm_method(
     return run_method(method, loss, theta0, config, NOISE_VAR, theta_ref)
 
 
+def run_trials(config: GlmModelConfig, solver: SolverConfig, plan, methods, init_radius):
+    """Run ``methods`` on the GLM trials of ``plan``, a list of (n, data_seed).
+
+    Per entry, in order, ``draw_trial`` draws the trial once; then each
+    method, in order, runs on its training part from its start through
+    ``run_glm_method``, scored against theta_star.  Yields ``(n, data_seed,
+    method, trace, val)`` per run, ``val`` being the trial's validation
+    part.  An empty plan or a method not in ``METHODS`` is a ``ValueError``
+    before any data are drawn.
+    """
+    if not plan:
+        raise ValueError("need at least one trial")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    for n, data_seed in plan:
+        train, val, theta0 = draw_trial(config, n, data_seed, init_radius)
+        for method in methods:
+            trace = run_glm_method(method, train, theta0, solver, config.theta_star)
+            yield n, data_seed, method, trace, val
+
+
 def run_radius_sweep(
     config: GlmModelConfig,
     solver: SolverConfig,
@@ -301,10 +325,9 @@ def run_radius_sweep(
     init_radius: float = 1.0,
     method: str = "bfgs",
 ) -> RadiusSweepResult:
-    """Sweep sample sizes: per (n, trial), draw a trial with ``draw_trial``,
-    run ``method`` on its training part through ``run_glm_method``, record
-    the minimum error to theta_star, and fit the log-log slope of the
-    per-size medians.
+    """Sweep sample sizes: run ``method`` on each (n, trial) through
+    ``run_trials``, record the minimum error to theta_star of each training
+    run, and fit the log-log slope of the per-size medians.
 
     Trials are independent given their derived seeds; rows come out sorted
     by n, then trial, regardless of evaluation order.
@@ -312,26 +335,16 @@ def run_radius_sweep(
     n_grid = [int(n) for n in n_grid]
     if any(later <= earlier for earlier, later in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    rows = []
-    for i_n, n in enumerate(n_grid):
-        for trial in range(trials):
-            data_seed = rng.derive_seed(seed0, i_n, trial)
-            # the radius is measured on the training nine tenths alone
-            train, _val, theta0 = draw_trial(config, n, data_seed, init_radius)
-            trace = run_glm_method(method, train, theta0, solver, config.theta_star)
-            rows.append(
-                RadiusTrialRow(
-                    n=n,
-                    seed=data_seed,
-                    min_error=trace.min_error,
-                    iters_to_min=trace.iters_to_min,
-                    flagged=trace.stop_reason in STOPS_INTERRUPTED,
-                )
-            )
+    plan = [(n, rng.derive_seed(seed0, i_n, trial))
+            for i_n, n in enumerate(n_grid) for trial in range(trials)]
+    # the radius is measured on the training nine tenths alone
+    runs = run_trials(config, solver, plan, [method], init_radius)
+    rows = [
+        RadiusTrialRow(n=n, seed=data_seed, min_error=trace.min_error,
+                       iters_to_min=trace.iters_to_min,
+                       flagged=trace.stop_reason in STOPS_INTERRUPTED)
+        for n, data_seed, _method, trace, _val in runs
+    ]
     medians = [
         float(np.median([row.min_error for row in rows if row.n == n])) for n in n_grid
     ]

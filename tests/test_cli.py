@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import qnbench
 import qnbench.cli
+import qnbench.glmsim
 from qnbench import acceptance
 from qnbench.cli import _write_csv, main
 from qnbench.glmsim import high_snr_config
@@ -247,7 +249,7 @@ class TestEmpiricalCommand:
     def test_high_snr_trials_start_facing_theta_star_at_error_one(
         self, tmp_path, monkeypatch, d
     ):
-        runs = record_calls(monkeypatch, "run_glm_method")
+        runs = record_calls(monkeypatch, "run_glm_method", qnbench.glmsim)
         out = tmp_path / "empirical.csv"
         code = run_cli(
             "empirical", "--regime", "high-snr", "--d", d, "--n", 200, "--trials", 3,
@@ -320,6 +322,15 @@ class TestRadiusCommand:
 
     def test_rejects_short_grid(self, tmp_path):
         assert run_cli("radius", "--n-grid", "100,200", "--out", tmp_path / "x.csv") == 2
+
+    def test_rejects_zero_trials_without_writing(self, tmp_path, capsys):
+        code = run_cli(
+            "radius", "--n-grid", "50,100,200", "--trials", 0,
+            "--out", tmp_path / "radius.csv",
+        )
+        assert code == 2
+        assert "need at least one trial" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_repeated_sizes_without_writing(self, tmp_path):
         # three entries but two distinct sizes: the slope would be fitted
@@ -399,17 +410,17 @@ def reference_csv(header, rows):
     return text.getvalue().encode()
 
 
-def record_calls(monkeypatch, name):
-    """Route qnbench.cli's ``name`` through a wrapper that keeps each
-    call's arguments and result."""
-    real = getattr(qnbench.cli, name)
+def record_calls(monkeypatch, name, module=qnbench.cli):
+    """Route ``module``'s ``name`` through a wrapper that keeps each call's
+    arguments and result."""
+    real = getattr(module, name)
     calls = []
 
     def keep(*args, **kwargs):
         calls.append((args, real(*args, **kwargs)))
         return calls[-1][1]
 
-    monkeypatch.setattr(qnbench.cli, name, keep)
+    monkeypatch.setattr(module, name, keep)
     return calls
 
 
@@ -482,7 +493,7 @@ class TestCsvRendering:
         )
 
     def test_empirical_file(self, tmp_path, monkeypatch):
-        runs = record_calls(monkeypatch, "run_glm_method")
+        runs = record_calls(monkeypatch, "run_glm_method", qnbench.glmsim)
         choices = record_calls(monkeypatch, "early_stop_by_validation")
         out = tmp_path / "empirical.csv"
         code = run_cli(
@@ -518,7 +529,7 @@ class TestCsvRendering:
         )
 
     def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
-        real = qnbench.cli.run_glm_method
+        real = qnbench.glmsim.run_glm_method
         calls = []
 
         def fail_third(*args, **kwargs):
@@ -527,7 +538,7 @@ class TestCsvRendering:
                 raise ValueError("third run fails")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qnbench.cli, "run_glm_method", fail_third)
+        monkeypatch.setattr(qnbench.glmsim, "run_glm_method", fail_third)
         code = run_cli(
             "empirical", "--n", 200, "--trials", 2, "--iters", 10,
             "--out", tmp_path / "empirical.csv",
@@ -535,6 +546,54 @@ class TestCsvRendering:
         assert code == 2
         assert len(calls) == 3
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPinnedOutputs:
+    """sha256 of the CSV and manifest of small GLM runs, the manifest's
+    output directory masked as ``bench/run.py``'s ``sha256_of`` masks it: a
+    change to a seed, a trial's data or start, a run, or the rendering
+    moves one of them."""
+
+    EMPIRICAL = ("empirical", "--n", 200, "--trials", 2, "--iters", 30, "--seed", 4)
+    RADIUS = ("radius", "--n-grid", "50,100,200", "--trials", 3, "--max-iters", 20,
+              "--seed", 6)
+
+    @pytest.mark.parametrize("argv,csv_digest,manifest_digest", [
+        pytest.param(
+            (*EMPIRICAL, "--regime", "low-snr"),
+            "ed0c51ce64f4bdda4f979bd92faca91875cf4f71a1bd0f85e4b4fa38db3948a1",
+            "95d4659c9c3f6ba7e5dc99b8e7aca8bfecb9ad5ac69b260241ed81d811386e24",
+            id="empirical-low-snr",
+        ),
+        pytest.param(
+            (*EMPIRICAL, "--regime", "high-snr"),
+            "9aacfddf49b20195811113a0323e661e82af2c257d84ff2e3bd5bed906546de0",
+            "67bf954d8f41efe7c301523d39fef2d860f342a0cc721358ab7b7b942f102ab3",
+            id="empirical-high-snr",
+        ),
+        pytest.param(
+            (*RADIUS, "--d", 4),
+            "20208d5b9987771b043ed5bc7fba2dc27cebf787f9d80cbbd4afe9406e708b7c",
+            "40b844bffeec524b11d8834f20af5e17bfafe4e7104471ecc76ccb937bab1a89",
+            id="radius-d4",
+        ),
+        pytest.param(
+            (*RADIUS, "--d", 1),
+            "c30208741f862a07938f7b124ae12ff26ccfae4f1f0e212d731f7a71d06aa066",
+            "f4b610069f7c3bf2a8b141640f7c91f4c75c6a9afb34259ecdf98636cb2fe949",
+            id="radius-d1",
+        ),
+    ])
+    def test_digests(self, tmp_path, monkeypatch, argv, csv_digest, manifest_digest):
+        monkeypatch.setenv("QNBENCH_OUT_DIR", str(tmp_path))
+        assert run_cli(*argv, "--out", "out.csv") == 0
+        digests = [
+            hashlib.sha256(
+                path.read_bytes().replace(str(tmp_path).encode(), b"$QNBENCH_OUT_DIR")
+            ).hexdigest()
+            for path in (tmp_path / "out.csv", tmp_path / "out.csv.manifest")
+        ]
+        assert digests == [csv_digest, manifest_digest]
 
 
 class TestSvgCommand:

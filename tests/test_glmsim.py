@@ -20,10 +20,11 @@ from qnbench.glmsim import (
     low_snr_population_objective,
     run_glm_method,
     run_radius_sweep,
+    run_trials,
     scalar_moment_ratio,
     split_train_validation,
 )
-from qnbench.solvers import SolverConfig, run_bfgs, run_gd_polyak
+from qnbench.solvers import METHODS, SolverConfig, run_bfgs, run_gd_polyak
 
 
 class TestConfig:
@@ -172,6 +173,69 @@ class TestDrawTrial:
     def test_low_snr_start_is_the_unit_vector_of_its_stream(self):
         _train, _val, theta0 = draw_trial(low_snr_config(3, 2), 50, 19, 2.0)
         assert np.array_equal(theta0, 2.0 * rng.unit_vector(3, rng.derive_seed(19, 2)))
+
+
+class TestRunTrials:
+    PLAN = [(60, 41), (80, 42), (60, 43)]
+
+    def test_runs_come_in_plan_then_method_order(self):
+        runs = run_trials(
+            low_snr_config(2, 2), SolverConfig(max_iters=5), self.PLAN,
+            ["newton", "gd-constant"], 1.0,
+        )
+        assert [(n, seed, method) for n, seed, method, _trace, _val in runs] == [
+            (n, seed, method)
+            for n, seed in self.PLAN for method in ("newton", "gd-constant")
+        ]
+
+    @pytest.mark.parametrize("methods", [["bfgs"], list(METHODS)])
+    def test_one_dataset_per_plan_entry(self, monkeypatch, methods):
+        import qnbench.glmsim as glmsim
+
+        drawn = []
+
+        def keep(*args):
+            drawn.append(args[1:])
+            return generate_dataset(*args)
+
+        monkeypatch.setattr(glmsim, "generate_dataset", keep)
+        runs = list(run_trials(
+            low_snr_config(2, 2), SolverConfig(max_iters=5), self.PLAN, methods, 1.0
+        ))
+        assert len(runs) == len(self.PLAN) * len(methods)
+        assert drawn == self.PLAN
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("high_snr", [False, True])
+    def test_traces_match_a_hand_loop(self, d, high_snr):
+        config = high_snr_config(d, 2, seed=44) if high_snr else low_snr_config(d, 2)
+        solver = SolverConfig(step_size=0.1, max_iters=25)
+        runs = run_trials(config, solver, self.PLAN, METHODS, 1.5)
+        for n, seed in self.PLAN:
+            train, val, theta0 = draw_trial(config, n, seed, 1.5)
+            for method in METHODS:
+                _n, _seed, _method, trace, got_val = next(runs)
+                want = run_glm_method(method, train, theta0, solver, config.theta_star)
+                for field in ("iterates", "errors", "grad_norms", "losses"):
+                    assert np.array_equal(getattr(trace, field), getattr(want, field))
+                assert trace.stop_reason == want.stop_reason
+                assert np.array_equal(got_val.x, val.x)
+                assert np.array_equal(got_val.y, val.y)
+        assert next(runs, None) is None
+
+    @pytest.mark.parametrize("plan,methods,message", [
+        ([], ["bfgs"], "need at least one trial"),
+        (PLAN, ["bfgs", "sgd"], "method must be one of"),
+    ])
+    def test_rejects_before_any_dataset(self, monkeypatch, plan, methods, message):
+        import qnbench.glmsim as glmsim
+
+        def no_data(*args):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(glmsim, "generate_dataset", no_data)
+        with pytest.raises(ValueError, match=message):
+            next(run_trials(low_snr_config(2, 2), SolverConfig(), plan, methods, 1.0))
 
 
 class TestSplit:
