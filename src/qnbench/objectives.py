@@ -367,9 +367,8 @@ def random_pow_norm_objective(
         theta_opt = rng.normals(rng.derive_seed(seed, 1), d)
     last_error = None
     for attempt in range(_MAX_DRAWS):
-        a = entry_std * rng.normals(rng.derive_seed(seed, 0, attempt), m * d).reshape(
-            m, d
-        )
+        a = rng.normals(rng.derive_seed(seed, 0, attempt), m * d).reshape(m, d)
+        a *= entry_std
         try:
             return PowNormObjective(a, theta_opt, q)
         except AssumptionViolationError as err:

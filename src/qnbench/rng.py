@@ -23,6 +23,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
+# Values per block of ``normals``; even, so blocks align with pairs.
+NORMALS_BLOCK = 65_536
+
 
 def _mix64_int(z: int) -> int:
     z &= _MASK64
@@ -59,20 +62,27 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def normals(seed: int, count: int) -> np.ndarray:
-    """``count`` standard Gaussian doubles via Box-Muller on uniform pairs."""
+    """``count`` standard Gaussian doubles via Box-Muller on uniform pairs.
+
+    The output is filled ``NORMALS_BLOCK`` values at a time, so no
+    temporary is longer than a block; the block is even, so each block
+    starts on a pair and the values do not depend on it.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    pairs = (count + 1) // 2
-    w = _words(seed, 2 * pairs)
-    # first word of each pair maps to (0, 1] so log() is finite
-    u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
-    u2 = (w[1::2] >> np.uint64(11)) * 2.0 ** -53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:count]
+    out = np.empty(count)
+    for start in range(0, count, NORMALS_BLOCK):
+        block = out[start : start + NORMALS_BLOCK]
+        pairs = (len(block) + 1) // 2
+        w = _words(seed, 2 * pairs, start)
+        # first word of each pair maps to (0, 1] so log() is finite
+        u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+        u2 = (w[1::2] >> np.uint64(11)) * 2.0 ** -53
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * np.pi * u2
+        block[0::2] = radius * np.cos(angle)
+        block[1::2] = (radius * np.sin(angle))[: len(block) // 2]
+    return out
 
 
 def unit_vector(d: int, seed: int) -> np.ndarray:

@@ -10,8 +10,16 @@ unit steps throughout.
 
 Each run owns its mutable state; traces are built once and treated as
 immutable afterwards.  Runs on a shared objective may proceed concurrently.
+
+A run that carries no state from step to step (gd-constant, gd-polyak and
+Newton; not BFGS, which carries its inverse-Hessian approximation) is
+periodic from the first record whose iterate repeats an earlier one bit for
+bit, since every evaluation is a pure function of theta.  The driver then
+copies that period through the rest of the budget instead of computing it
+again; see ``_iterate``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +55,12 @@ SQRT_HALF = math.sqrt(0.5)
 SIGNS = np.tile([1.0, -1.0], BFGS_PENDING_PAIRS)
 
 
+# Records a memoryless run looks back over for an exact repeat of its
+# iterate, so the longest period ``_iterate`` fills.  glm-empirical's
+# longest period at seed 11 is 16 (a Newton run).  Tests set it to 0 for
+# the computed reference run.
+CYCLE_WINDOW = 16
+
 # The vector methods ``run_method`` accepts, in report order.
 METHODS = ("gd-constant", "gd-polyak", "newton", "bfgs")
 
@@ -56,13 +70,19 @@ class SolverConfig:
     """Run limits shared by all methods.
 
     ``step_size`` is read by gd-constant only, which needs it positive and
-    finite; Newton and BFGS always take unit steps.
+    finite; Newton and BFGS always take unit steps.  ``max_iters``, the
+    budget of steps, is an integer of at least 1 (Python's or numpy's, not
+    a ``bool``), checked here since a run sizes its trace from it.
     """
 
     step_size: float = 0.1
     max_iters: int = 10_000
 
     def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(
+            self.max_iters, (int, np.integer)
+        ):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -74,7 +94,10 @@ class SolverTrace:
     ``iterates`` has shape (K+1, d), also at d = 1; ``errors``,
     ``grad_norms`` and ``losses`` all have length K+1.
     ``step_info`` carries method-specific per-step metadata (Polyak step
-    sizes, the curvature ``s'u`` of each applied BFGS update).
+    sizes, the curvature ``s'u`` of each applied BFGS update), and one
+    run-level entry: a run whose tail ``_iterate`` filled by copy has
+    ``step_info["cycle"] = [first copied record, period]``; any other run
+    has no ``"cycle"`` key.
     """
 
     iterates: np.ndarray
@@ -131,6 +154,18 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     return a stop reason; the new iterate is recorded either way, and a
     stop there on a non-finite record is diverged.  ``step_info`` maps
     names to lists that the callbacks fill, one entry per step or update.
+
+    A run without ``after`` carries no state between steps, so its next
+    record is a pure function of its current iterate, and the stop rules
+    read only the last record.  Before each step such a run compares the
+    iterate's bytes (not its values, so ``-0.0`` and ``0.0`` stay apart)
+    with those of its last ``CYCLE_WINDOW`` records.  On a repeat with
+    period ``p`` the run would recompute its last ``p`` records until its
+    budget ran out, so they are copied periodically through the trace
+    arrays up to the budget instead, each ``step_info`` list is extended
+    the same way, and ``step_info["cycle"]`` is set to
+    ``[first copied record, p]``.  ``limit_stop`` then stops the run at
+    max-iters, as it would have stopped the computed run.
     """
     size = config.max_iters + len(starts)
     iterates = np.empty((size, len(starts[0][0])))
@@ -164,11 +199,28 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
             return STOP_MAX_ITERS
         return stop
 
+    step_info = step_info if step_info is not None else {}
+    # iterate bytes -> record index, for the last CYCLE_WINDOW records
+    seen = {} if after is None and CYCLE_WINDOW > 0 else None
     with np.errstate(all="ignore"):
         for start in starts:
             record(*start)
         theta, loss, grad = starts[-1]
         while (stop := limit_stop()) is None:
+            if seen is not None:
+                first = seen.setdefault(theta.tobytes(), count - 1)
+                if first < count - 1:
+                    period = count - 1 - first
+                    for values in (iterates, errors, grad_norms, losses):
+                        _fill_periodic(values, count, size, period)
+                    for values in step_info.values():
+                        tail = itertools.cycle(values[-period:])
+                        values.extend(itertools.islice(tail, size - count))
+                    step_info["cycle"] = [count, period]
+                    count = size  # so limit_stop stops the run at max-iters
+                    continue
+                if len(seen) > CYCLE_WINDOW:
+                    del seen[next(iter(seen))]
             theta_next = step(theta, loss, grad)
             loss, grad_next = evaluate(theta_next)
             record(theta_next, loss, grad_next)
@@ -184,8 +236,20 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
         grad_norms=grad_norms[:count],
         losses=losses[:count],
         stop_reason=stop,
-        step_info={key: np.asarray(value) for key, value in (step_info or {}).items()},
+        step_info={key: np.asarray(value) for key, value in step_info.items()},
     )
+
+
+def _fill_periodic(values, start, stop, period):
+    """Set ``values[k] = values[k - period]`` for ``start <= k < stop``, in
+    place, by copying slices that double in length: no temporary of the
+    filled length, and no copy whose source overlaps its destination."""
+    length = period
+    while start < stop:
+        count = min(length, stop - start)
+        values[start : start + count] = values[start - length : start - length + count]
+        start += count
+        length *= 2
 
 
 def _vector_start(objective, theta0, theta_ref, evaluate=None):

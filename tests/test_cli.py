@@ -14,6 +14,7 @@ import pytest
 import qnbench
 import qnbench.cli
 import qnbench.glmsim
+import qnbench.solvers
 from qnbench import acceptance
 from qnbench.cli import _write_csv, main
 from qnbench.glmsim import high_snr_config
@@ -548,15 +549,42 @@ class TestCsvRendering:
         assert list(tmp_path.iterdir()) == []
 
 
+def record_fills(monkeypatch):
+    """The ``(method, step_info["cycle"])`` of every filled vector run."""
+    fills = []
+    real = qnbench.solvers.run_method
+
+    def recording(method, *args, **kwargs):
+        trace = real(method, *args, **kwargs)
+        if "cycle" in trace.step_info:
+            fills.append((method, trace.step_info["cycle"].tolist()))
+        return trace
+
+    for module in (qnbench.cli, qnbench.glmsim):
+        monkeypatch.setattr(module, "run_method", recording)
+    return fills
+
+
 class TestPinnedOutputs:
-    """sha256 of the CSV and manifest of small GLM runs, the manifest's
-    output directory masked as ``bench/run.py``'s ``sha256_of`` masks it: a
-    change to a seed, a trial's data or start, a run, or the rendering
-    moves one of them."""
+    """sha256 of the CSV and manifest of small runs, the manifest's output
+    directory masked as ``bench/run.py``'s ``sha256_of`` masks it: a change
+    to a seed, a trial's data or start, a run, or the rendering moves one
+    of them."""
 
     EMPIRICAL = ("empirical", "--n", 200, "--trials", 2, "--iters", 30, "--seed", 4)
     RADIUS = ("radius", "--n-grid", "50,100,200", "--trials", 3, "--max-iters", 20,
               "--seed", 6)
+
+    @staticmethod
+    def digests(tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("QNBENCH_OUT_DIR", str(tmp_path))
+        assert run_cli(*argv, "--out", "out.csv") == 0
+        return [
+            hashlib.sha256(
+                path.read_bytes().replace(str(tmp_path).encode(), b"$QNBENCH_OUT_DIR")
+            ).hexdigest()
+            for path in (tmp_path / "out.csv", tmp_path / "out.csv.manifest")
+        ]
 
     @pytest.mark.parametrize("argv,csv_digest,manifest_digest", [
         pytest.param(
@@ -585,15 +613,32 @@ class TestPinnedOutputs:
         ),
     ])
     def test_digests(self, tmp_path, monkeypatch, argv, csv_digest, manifest_digest):
-        monkeypatch.setenv("QNBENCH_OUT_DIR", str(tmp_path))
-        assert run_cli(*argv, "--out", "out.csv") == 0
-        digests = [
-            hashlib.sha256(
-                path.read_bytes().replace(str(tmp_path).encode(), b"$QNBENCH_OUT_DIR")
-            ).hexdigest()
-            for path in (tmp_path / "out.csv", tmp_path / "out.csv.manifest")
-        ]
-        assert digests == [csv_digest, manifest_digest]
+        assert self.digests(tmp_path, monkeypatch, argv) == [csv_digest, manifest_digest]
+
+    @pytest.mark.parametrize("argv,csv_digest,manifest_digest", [
+        pytest.param(
+            ("population", "--preset", "d10-q4", "--seed", 11),
+            "f295713eed8ba715ceebac3a2ae2cb25f18bbead448c7432f0b434ea36115fee",
+            "609b50627ba896ba2fe65cd00f01b04ffc346346a4ac2886615ad86bc23ff830",
+            id="population-d10-q4",
+        ),
+        pytest.param(
+            ("empirical", "--n", 2000, "--trials", 2, "--iters", 300, "--seed", 11),
+            "c8e65c47d4395645e10b0459d47ae337f75509dddded8bc36ea9bff545658122",
+            "d1cccfd421718898bd58d94c645b3165950e6d77cfe678e2cb0ea1e0d56ef621",
+            id="empirical-n2000",
+        ),
+    ])
+    def test_digests_of_filled_runs(self, tmp_path, monkeypatch, argv, csv_digest,
+                                    manifest_digest):
+        # the digests predate the cycle fill; the empirical run also has a
+        # BFGS revisit, which is not filled
+        fills = record_fills(monkeypatch)
+        assert self.digests(tmp_path, monkeypatch, argv) == [csv_digest, manifest_digest]
+        assert fills == {
+            "population": [("gd-polyak", [137, 1]), ("newton", [97, 1])],
+            "empirical": [("newton", [14, 1]), ("newton", [16, 6])],
+        }[argv[0]]
 
 
 class TestSvgCommand:

@@ -460,6 +460,14 @@ class TestRandomInstances:
         obj = random_pow_norm_objective(4, 400, 4, seed=52, entry_std=2.0)
         assert 1.5 <= np.std(obj.a) <= 2.5
 
+    def test_matrix_is_the_scaled_draw_across_a_block_edge(self):
+        # 70 * 1000 entries span two blocks of the draw; scaling in place
+        # gives the bits of scaling a copy
+        d, m, entry_std = 70, 1000, 1.0 / np.sqrt(1000)
+        obj = random_pow_norm_objective(d, m, 4, seed=53, entry_std=entry_std)
+        draw = rng.normals(rng.derive_seed(53, 0, 0), m * d).reshape(m, d)
+        assert (entry_std * draw).tobytes() == obj.a.tobytes()
+
     def test_redraws_a_matrix_singular_to_lu(self, monkeypatch):
         # the first draw's inverse fails as an ill-conditioned one's does,
         # and the instance is built from the second draw

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qnbench import rng, solvers
 from qnbench.acceptance import replay_bfgs
-from qnbench.glmsim import generate_dataset, low_snr_config, scalar_moment_ratio
+from qnbench.glmsim import draw_trial, generate_dataset, low_snr_config, scalar_moment_ratio
 from qnbench.objectives import EmpiricalGlmLoss, PowNormObjective, random_pow_norm_objective
 from qnbench.rates import (
     contraction_sequence,
@@ -956,3 +957,169 @@ class TestTraceShape:
         obj = random_pow_norm_objective(2, 4, 4, seed=81)
         trace = run_gd_constant(obj, obj.theta_opt, SolverConfig(step_size=0.1))
         assert trace.error_ratios().size == 0
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, False, "3", None, 0, -1])
+    def test_rejects_a_budget_that_is_not_a_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=max_iters)
+
+    def test_accepts_numpy_integers(self):
+        trace = run_gd_constant(
+            scalar_quartic(), np.array([1.0]), SolverConfig(max_iters=np.int64(3))
+        )
+        assert len(trace) == 4
+
+
+def small_glm_trial(d, n, seed):
+    """A low-SNR quadratic-link training loss and its start."""
+    train, _val, theta0 = draw_trial(low_snr_config(d, 2), n, seed, 1.0)
+    return train, theta0
+
+
+def unfilled(run, *args):
+    """``run(*args)`` with the cycle fill turned off: the reference run."""
+    with mock.patch.object(solvers, "CYCLE_WINDOW", 0):
+        return run(*args)
+
+
+def assert_same_run(filled, reference):
+    """Equal to the bit: the four trace arrays, the stop reason and every
+    ``step_info`` entry but ``cycle``, which the reference never has."""
+    assert "cycle" not in reference.step_info
+    for name in ("iterates", "errors", "grad_norms", "losses"):
+        ours, theirs = getattr(filled, name), getattr(reference, name)
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert filled.stop_reason == reference.stop_reason
+    info = {key: value for key, value in filled.step_info.items() if key != "cycle"}
+    assert info.keys() == reference.step_info.keys()
+    for key, value in info.items():
+        assert value.shape == reference.step_info[key].shape
+        assert value.tobytes() == reference.step_info[key].tobytes(), key
+
+
+def memoryless_runs(objective, theta0, config, f_star, theta_ref):
+    """One zero-argument runner for each memoryless run: gd-constant,
+    gd-polyak, and Newton on its closed-form or Hessian-solve path."""
+    return [
+        lambda: run_gd_constant(objective, theta0, config, theta_ref),
+        lambda: run_gd_polyak(objective, theta0, f_star, config, theta_ref),
+        lambda: run_newton(objective, theta0, config, theta_ref),
+    ]
+
+
+class TestCycleFill:
+    @settings(max_examples=40)
+    @given(
+        d=st.integers(1, 5),
+        extra_rows=st.integers(0, 4),
+        q=st.sampled_from([4, 6]),
+        seed=st.integers(0, 10_000),
+        max_iters=st.integers(1, 250),
+    )
+    def test_pow_norm_runs_equal_the_unfilled_runs(self, d, extra_rows, q, seed,
+                                                   max_iters):
+        m = d + extra_rows
+        obj = random_pow_norm_objective(d, m, q, seed, entry_std=1.0 / np.sqrt(m))
+        config = SolverConfig(step_size=0.1, max_iters=max_iters)
+        for run in memoryless_runs(obj, rng.normals(seed + 1, d), config, 0.0, None):
+            assert_same_run(run(), unfilled(run))
+
+    @settings(max_examples=40)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(20, 200),
+        seed=st.integers(0, 10_000),
+        max_iters=st.integers(1, 150),
+    )
+    def test_glm_runs_equal_the_unfilled_runs(self, d, n, seed, max_iters):
+        # an empirical loss has no closed-form direction: Newton solves
+        # with its Hessian
+        loss, theta0 = small_glm_trial(d, n, seed)
+        assert not hasattr(loss, "value_gradient_and_newton_direction")
+        config = SolverConfig(step_size=0.1, max_iters=max_iters)
+        for run in memoryless_runs(loss, theta0, config, 1.0, np.zeros(d)):
+            assert_same_run(run(), unfilled(run))
+
+    def test_period_16_is_filled(self):
+        loss, theta0 = small_glm_trial(5, 100, 40)
+        config = SolverConfig(max_iters=200)
+        trace = run_newton(loss, theta0, config, np.zeros(5))
+        # record 35 is the first to repeat one, record 19, to the bit
+        assert trace.step_info["cycle"].tolist() == [36, 16]
+        assert trace.stop_reason == STOP_MAX_ITERS
+        assert trace.iterates[35].tobytes() == trace.iterates[19].tobytes()
+        assert_same_run(trace, unfilled(run_newton, loss, theta0, config, np.zeros(5)))
+
+    @pytest.mark.parametrize("window,filled", [(16, True), (15, False)])
+    def test_window_bounds_the_period(self, monkeypatch, window, filled):
+        monkeypatch.setattr(solvers, "CYCLE_WINDOW", window)
+        loss, theta0 = small_glm_trial(5, 100, 40)
+        trace = run_newton(loss, theta0, SolverConfig(max_iters=200), np.zeros(5))
+        assert ("cycle" in trace.step_info) == filled
+        assert len(trace) == 201
+
+    def test_no_evaluation_after_the_repeat(self):
+        calls = []
+
+        class Counting(EmpiricalGlmLoss):
+            def value_and_gradient(self, theta):
+                calls.append("value_and_gradient")
+                return super().value_and_gradient(theta)
+
+            def hessian(self, theta):
+                calls.append("hessian")
+                return super().hessian(theta)
+
+        loss, theta0 = small_glm_trial(2, 200, 0)
+        counting = Counting(loss.x, loss.y, loss.p)
+        trace = run_newton(counting, theta0, SolverConfig(max_iters=300), np.zeros(2))
+        first_copied, period = trace.step_info["cycle"].tolist()
+        assert (first_copied, period) == (14, 4)
+        assert len(trace) == 301
+        # records 0 .. 13 are evaluated, and a Hessian taken at 0 .. 12
+        assert calls.count("value_and_gradient") == first_copied
+        assert calls.count("hessian") == first_copied - 1
+
+    def test_cycle_closing_on_the_last_allowed_step_fills_nothing(self):
+        # the repeat is record 13, so a budget of 13 steps ends there
+        loss, theta0 = small_glm_trial(2, 200, 0)
+        for max_iters, cycle in ((13, None), (14, [14, 4])):
+            config = SolverConfig(max_iters=max_iters)
+            trace = run_newton(loss, theta0, config, np.zeros(2))
+            assert trace.stop_reason == STOP_MAX_ITERS
+            assert len(trace) == max_iters + 1
+            assert trace.step_info.get("cycle", np.array(None)).tolist() == cycle
+            assert_same_run(trace, unfilled(run_newton, loss, theta0, config, np.zeros(2)))
+
+    def test_polyak_step_sizes_one_per_step_when_filled(self):
+        obj = random_pow_norm_objective(3, 6, 4, 1)
+        trace = run_gd_polyak(obj, rng.normals(101, 3), 0.0, SolverConfig(max_iters=300))
+        first_copied, period = trace.step_info["cycle"].tolist()
+        assert period == 2 and first_copied < 300
+        assert len(trace.step_info["step_size"]) == len(trace) - 1 == 300
+
+    def test_bfgs_revisit_is_not_filled(self):
+        # BFGS carries its inverse-Hessian approximation, so an iterate it
+        # revisits is no cycle: this run revisits record 19 at record 24,
+        # and goes on to its budget computing every step
+        loss, theta0 = small_glm_trial(2, 50, 10)
+        config = SolverConfig(max_iters=300)
+        trace = run_bfgs(loss, theta0, config, np.zeros(2))
+        assert trace.iterates[24].tobytes() == trace.iterates[19].tobytes()
+        assert trace.stop_reason == STOP_MAX_ITERS
+        assert "cycle" not in trace.step_info
+        assert_same_run(trace, unfilled(run_bfgs, loss, theta0, config, np.zeros(2)))
+        assert len(trace.step_info["curvature"]) == len(trace) - 1
+
+    def test_fill_copies_whole_periods(self):
+        values = np.arange(10.0)
+        values[7:] = -1.0
+        solvers._fill_periodic(values, 7, 10, 3)
+        assert values.tolist() == [0, 1, 2, 3, 4, 5, 6, 4, 5, 6]
+        long = np.zeros(100)
+        long[:5] = [0, 1, 2, 0, 1]
+        solvers._fill_periodic(long, 5, 100, 3)
+        assert long.tolist() == [[0.0, 1.0, 2.0][k % 3] for k in range(100)]
