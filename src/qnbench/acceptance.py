@@ -1,17 +1,31 @@
-"""Acceptance checks: the rate theory's claims as invariants that pass or fail.
+"""Acceptance checks: the paper's claims as invariants that pass or fail.
 
-``CHECKS`` lists ``(number, title, check)`` in order; ``qnbench selfcheck``
-and ``tests/test_acceptance.py`` both run it.  Numbers 1-8 are acceptance
-criteria 1-8, number 12 is dataset determinism.  Each check returns a bool
-and keeps its own fixed tolerances and wall-clock bound.
+``CHECKS`` lists ``(number, title, seconds, check)`` in order; ``qnbench
+selfcheck`` and ``tests/test_acceptance.py`` both run each entry through
+``run_check``.  Numbers 1-9 and 11 are acceptance criteria 1-9 and 11,
+number 12 is dataset determinism.  Each check returns a bool and keeps its
+own fixed tolerances; its entry keeps its wall-clock bound.
 """
 
+import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import glmsim, objectives, rates, rng, solvers
 from .solvers import SolverConfig
+
+
+def run_check(check, seconds):
+    """Run ``check`` and time it: ``(passed, elapsed)``, where ``passed``
+    needs a true result in under ``seconds`` of wall clock.  An exception
+    from ``check`` propagates."""
+    started = time.perf_counter()
+    ok = bool(check())
+    elapsed = time.perf_counter() - started
+    return ok and elapsed < seconds, elapsed
 
 
 def theory_instances():
@@ -39,16 +53,13 @@ def theory_instances():
 
 
 def fixed_point_table():
-    started = time.time()
     fixed = {4: 0.755, 6: 0.857, 10: 0.922, 20: 0.963}
     newton = {4: 0.667, 6: 0.800, 10: 0.889, 20: 0.947}
     ok = all(round(rates.fixed_point(q), 3) == v for q, v in fixed.items())
-    ok = ok and all(round(rates.newton_factor(q), 3) == v for q, v in newton.items())
-    return ok and (time.time() - started) < 1.0
+    return ok and all(round(rates.newton_factor(q), 3) == v for q, v in newton.items())
 
 
 def bfgs_ratio_exactness():
-    started = time.time()
     ok = True
     for obj, theta0 in theory_instances():
         trace = solvers.run_method("bfgs", obj, theta0, SolverConfig(max_iters=20))
@@ -67,7 +78,7 @@ def bfgs_ratio_exactness():
         ok = ok and len(replay) == 20
         ok = ok and np.array_equal(replay[:, 0], trace.step_info["curvature"])
         ok = ok and np.all(replay[:, 1] <= 1e-8) and np.all(replay[:, 2] <= 1e-10)
-    return ok and (time.time() - started) < 10.0
+    return ok
 
 
 def replay_bfgs(obj, trace):
@@ -90,7 +101,6 @@ def replay_bfgs(obj, trace):
 
 
 def newton_ratio_exactness():
-    started = time.time()
     ok = True
     for obj, theta0 in theory_instances():
         trace = solvers.run_method("newton", obj, theta0, SolverConfig(max_iters=300))
@@ -100,26 +110,22 @@ def newton_ratio_exactness():
                 break
             ratio = trace.errors[k] / trace.errors[k - 1]
             ok = ok and abs(ratio - expected) <= 1e-8 * expected
-    return ok and (time.time() - started) < 10.0
+    return ok
 
 
 def factor_envelope():
-    started = time.time()
-    ok = all(rates.envelope_holds(q, 200) for q in range(4, 65))
-    return ok and (time.time() - started) < 1.0
+    return all(rates.envelope_holds(q, 200) for q in range(4, 65))
 
 
 def derivative_bound():
-    started = time.time()
     ok = True
     for q in range(4, 101):
         rep = rates.contraction_map_derivative_bound(q)
         ok = ok and rep.holds and rep.max_abs_derivative <= 0.5 + 1e-9
-    return ok and (time.time() - started) < 5.0
+    return ok
 
 
 def closed_form_inverse():
-    started = time.time()
     ok = True
     count = 0
     seed = 0
@@ -136,11 +142,10 @@ def closed_form_inverse():
         count += 1
         product = obj.hessian_inverse(theta) @ obj.hessian(theta)
         ok = ok and np.max(np.abs(product - np.eye(d))) <= 1e-8
-    return ok and (time.time() - started) < 5.0
+    return ok
 
 
 def difference_oracles():
-    started = time.time()
     ok = True
     for seed in range(25):
         d = 2 + (seed % 4)
@@ -168,11 +173,10 @@ def difference_oracles():
         fd_grad = objectives.central_difference_gradient(loss.value, theta)
         scale = max(1.0, float(np.max(np.abs(grad))))
         ok = ok and np.max(np.abs(fd_grad - grad)) <= 1e-5 * scale
-    return ok and (time.time() - started) < 5.0
+    return ok
 
 
 def scalar_inequalities():
-    started = time.time()
     ok = True
     for p in (2, 3):
         config = glmsim.low_snr_config(1, p)
@@ -191,7 +195,58 @@ def scalar_inequalities():
                 ok = ok and 0.0 < seq[k + 1] < seq[k]
                 ok = ok and seq[k + 1] >= floor * seq[k]
         ok = ok and total_checked >= 40  # the claim must not hold vacuously
-    return ok and (time.time() - started) < 30.0
+    return ok
+
+
+RADIUS_N_GRID = [100, 316, 1000, 3162, 10000]
+
+
+def radius_sweeps():
+    """Criterion 9's sweeps ``(low, high)``: phase retrieval (p = 2) at
+    d = 4, 40 datasets per n, BFGS.  High SNR uses the isotropic covariance,
+    where the n = 100 radius fits inside the reachable start geometry, so
+    the n^(-1/2) line is measurable (see the radius notes in the README)."""
+    solver = SolverConfig(max_iters=100)
+    low = glmsim.run_radius_sweep(
+        glmsim.low_snr_config(4, 2), solver, RADIUS_N_GRID, trials=40, seed0=11,
+        init_radius=2.0, method="bfgs",
+    )
+    high = glmsim.run_radius_sweep(
+        glmsim.high_snr_config(4, 2, 11, cov=np.ones(4)), solver, RADIUS_N_GRID,
+        trials=40, seed0=11, init_radius=1.0, method="bfgs",
+    )
+    return low, high
+
+
+def statistical_radius_slopes():
+    low, high = radius_sweeps()
+    ok = abs(low.fitted_slope - (-0.25)) <= 0.08
+    ok = ok and abs(high.fitted_slope - (-0.5)) <= 0.1
+    # the iteration index of the best error grows no faster than log(n)
+    for sweep in (low, high):
+        iters = [s[4] for s in sweep.summaries()]
+        islope, _ = glmsim.fit_loglog_slope(RADIUS_N_GRID, [max(i, 0.5) for i in iters])
+        ok = ok and islope < 1.0 and max(iters) <= 50
+    return ok
+
+
+def determinism():
+    from . import cli  # only this check drives the CLI
+
+    jobs = [
+        "factors --q 4 --k-max 200",
+        "radius --n-grid 50,100,200 --trials 4 --max-iters 30 --seed 3",
+        "empirical --n 200 --trials 2 --iters 30 --seed 5",
+        "population --d 4 --m 8 --iters 40 --seed 7",
+    ]
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, job in enumerate(map(str.split, jobs)):
+            a, b = Path(tmp) / f"a{i}.csv", Path(tmp) / f"b{i}.csv"
+            ok = ok and cli.main(job + ["--out", str(a)]) == 0
+            ok = ok and cli.main(job + ["--out", str(b)]) == 0
+            ok = ok and a.read_bytes() == b.read_bytes()
+    return ok
 
 
 def dataset_determinism():
@@ -203,22 +258,27 @@ def dataset_determinism():
 
 CHECKS = (
     (1, "fixed points 0.755/0.857/0.922/0.963 and Newton factors "
-        "0.667/0.800/0.889/0.947 at three decimals", fixed_point_table),
+        "0.667/0.800/0.889/0.947 at three decimals", 1.0, fixed_point_table),
     (2, "unit-step BFGS with exact initial inverse Hessian follows the factor "
         "recursion (rel 1e-6, 20 steps) with collinear errors, secant residual "
-        "1e-8 and symmetric updates", bfgs_ratio_exactness),
+        "1e-8 and symmetric updates", 10.0, bfgs_ratio_exactness),
     (3, "unit-step Newton contracts at exactly (q-2)/(q-1) down to error 1e-12 "
-        "(rel 1e-8)", newton_ratio_exactness),
+        "(rel 1e-8)", 10.0, newton_ratio_exactness),
     (4, "|r_k - r_*| <= (1/2)^k |r_0 - r_*| for q in 4..64, k <= 200",
-     factor_envelope),
+     1.0, factor_envelope),
     (5, "factor-map derivative bounded by 1/2 on 1e4 grid points for q in 4..100",
-     derivative_bound),
+     5.0, derivative_bound),
     (6, "closed-form inverse times Hessian equals identity to max-entry 1e-8 "
-        "on 50 instances", closed_form_inverse),
+        "on 50 instances", 5.0, closed_form_inverse),
     (7, "central differences reproduce both gradients (rel 1e-5) and the "
-        "pow-norm Hessian (rel 1e-4) on 50 randomized points", difference_oracles),
+        "pow-norm Hessian (rel 1e-4) on 50 randomized points", 5.0, difference_oracles),
     (8, "scalar secant runs decrease strictly, stay positive, and obey the "
         "p/(p+1) floor above twice the stationary scale (p in {2,3}, 20 seeds)",
-     scalar_inequalities),
-    (12, "identical seeds reproduce identical datasets", dataset_determinism),
+     30.0, scalar_inequalities),
+    (9, "BFGS radius slopes: low-snr -0.25±0.08, high-snr -0.5±0.1 (p = 2, "
+        "d = 4, 40 trials per n), best-error index at most 50 and growing "
+        "slower than n", 300.0, statistical_radius_slopes),
+    (11, "rerunning every benchmark command with the same seed yields "
+         "byte-identical CSV output", math.inf, determinism),
+    (12, "identical seeds reproduce identical datasets", math.inf, dataset_determinism),
 )

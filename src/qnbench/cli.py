@@ -242,6 +242,10 @@ POPULATION_SPEC = [
 POPULATION_DEFAULTS = POPULATION_PRESETS["d10-q4"]
 
 
+def _written_columns(trace):
+    return trace.errors, trace.losses, trace.grad_norms
+
+
 def cmd_population(params) -> int:
     preset = dict(POPULATION_DEFAULTS)
     if params["preset"]:
@@ -266,20 +270,20 @@ def cmd_population(params) -> int:
     theta0 = rng.normals(rng.derive_seed(seed, 2), d)
     # the optimum value is exactly zero, run_method's default f_star
     config = SolverConfig(step_size=params["step"], max_iters=iters)
-    runs = {method: run_method(method, objective, theta0, config) for method in METHODS}
+    # keep only the written columns, so each run's iterates are freed as it returns
+    columns = {
+        method: _written_columns(run_method(method, objective, theta0, config))
+        for method in METHODS
+    }
 
     blocks = [
-        [[method] * len(trace), np.arange(len(trace)), trace.errors, trace.losses,
-         trace.grad_norms]
-        for method, trace in runs.items()
+        [[method] * len(errors), np.arange(len(errors)), errors, losses, grad_norms]
+        for method, (errors, losses, grad_norms) in columns.items()
     ]
     # exact theoretical BFGS overlay: same starting error, factors r_k
-    bfgs_trace = runs["bfgs"]
-    n = len(bfgs_trace)
+    err, loss0, grad0 = (column[0] for column in columns["bfgs"])
+    n = len(columns["bfgs"][0])
     factors = contraction_sequence(q, max(n - 1, 1)).factors
-    err = bfgs_trace.errors[0]
-    loss0 = bfgs_trace.losses[0]
-    grad0 = bfgs_trace.grad_norms[0]
     errors, losses, grad_norms = [], [], []
     shrink = 1.0
     for k in range(n):
@@ -504,9 +508,9 @@ def cmd_selfcheck(_params) -> int:
     from . import acceptance  # only this command needs it; keeps import time flat
 
     failures = 0
-    for _number, name, fn in acceptance.CHECKS:
+    for _number, name, seconds, fn in acceptance.CHECKS:
         try:
-            ok = bool(fn())
+            ok, _elapsed = acceptance.run_check(fn, seconds)
         except Exception as err:  # a crashed check is a failed check
             ok = False
             name = f"{name} ({type(err).__name__}: {err})"

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,18 @@ def read_csv(path):
         header = next(reader)
         rows = list(reader)
     return header, rows
+
+
+def reruns_identical(tmp_path, *args):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    assert all(run_cli(*args, "--out", out) == 0 for out in outs)
+    return outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def assert_refused(tmp_path, *args):
+    # a usage error (exit 2) that writes neither the CSV nor its manifest
+    assert run_cli(*args, "--out", tmp_path / "x.csv") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestFactorsCommand:
@@ -70,10 +83,7 @@ class TestFactorsCommand:
         assert f"artifact={out}" in manifest
 
     def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("factors", "--q", 4, "--k-max", 50, "--out", a)
-        run_cli("factors", "--q", 4, "--k-max", 50, "--out", b)
-        assert a.read_bytes() == b.read_bytes()
+        assert reruns_identical(tmp_path, "factors", "--q", 4, "--k-max", 50)
 
     def test_usage_error_exit_code(self, tmp_path):
         assert run_cli("factors", "--q", 3, "--out", tmp_path / "x.csv") == 2
@@ -99,8 +109,7 @@ class TestFactorsCommand:
         assert list(base.iterdir()) == []
 
     def test_rejects_negative_k_max_without_writing(self, tmp_path):
-        assert run_cli("factors", "--k-max", -1, "--out", tmp_path / "x.csv") == 2
-        assert list(tmp_path.iterdir()) == []
+        assert_refused(tmp_path, "factors", "--k-max", -1)
 
 
 class TestPopulationCommand:
@@ -151,16 +160,11 @@ class TestPopulationCommand:
 
     @pytest.mark.parametrize("sizes", [("--d", 0), ("--d", 0, "--m", 0)])
     def test_rejects_empty_design_without_writing(self, tmp_path, sizes):
-        assert run_cli("population", *sizes, "--out", tmp_path / "x.csv") == 2
-        assert list(tmp_path.iterdir()) == []
+        assert_refused(tmp_path, "population", *sizes)
 
     @pytest.mark.parametrize("step", ["inf", "nan", "0"])
     def test_rejects_bad_step_without_writing(self, tmp_path, step):
-        code = run_cli(
-            "population", "--iters", 5, "--step", step, "--out", tmp_path / "x.csv"
-        )
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
+        assert_refused(tmp_path, "population", "--iters", 5, "--step", step)
 
     def test_overflowing_gd_is_a_diverged_stop(self, tmp_path):
         # at this step the pow-norm value overflows on the third iterate
@@ -202,13 +206,9 @@ class TestEmpiricalCommand:
         assert "gd-step=0.1" in manifest
 
     def test_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a, b):
-            run_cli(
-                "empirical", "--n", 300, "--trials", 2, "--iters", 40,
-                "--seed", 9, "--out", path,
-            )
-        assert a.read_bytes() == b.read_bytes()
+        assert reruns_identical(
+            tmp_path, "empirical", "--n", 300, "--trials", 2, "--iters", 40, "--seed", 9
+        )
 
     def test_bfgs_reaches_radius_faster_than_gd(self, tmp_path):
         out = tmp_path / "empirical.csv"
@@ -233,18 +233,14 @@ class TestEmpiricalCommand:
         assert run_cli("empirical", "--n", 5, "--out", tmp_path / "x.csv") == 2
 
     def test_rejects_zero_trials_without_writing(self, tmp_path):
-        code = run_cli("empirical", "--trials", 0, "--n", 100, "--out", tmp_path / "x.csv")
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
+        assert_refused(tmp_path, "empirical", "--trials", 0, "--n", 100)
 
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_rejects_non_finite_gd_step_without_writing(self, tmp_path, step):
-        code = run_cli(
-            "empirical", "--n", 100, "--trials", 1, "--iters", 5, "--gd-step", step,
-            "--out", tmp_path / "x.csv",
+        assert_refused(
+            tmp_path, "empirical", "--n", 100, "--trials", 1, "--iters", 5,
+            "--gd-step", step,
         )
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_high_snr_trials_start_facing_theta_star_at_error_one(
@@ -313,57 +309,40 @@ class TestRadiusCommand:
         assert float(rows[-1][1]) == pytest.approx(-0.5, abs=0.1)
 
     def test_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a, b):
-            run_cli(
-                "radius", "--n-grid", "50,100,200", "--trials", 4,
-                "--max-iters", 30, "--seed", 3, "--out", path,
-            )
-        assert a.read_bytes() == b.read_bytes()
+        assert reruns_identical(
+            tmp_path, "radius", "--n-grid", "50,100,200", "--trials", 4, "--max-iters", 30,
+            "--seed", 3,
+        )
 
     def test_rejects_short_grid(self, tmp_path):
         assert run_cli("radius", "--n-grid", "100,200", "--out", tmp_path / "x.csv") == 2
 
     def test_rejects_zero_trials_without_writing(self, tmp_path, capsys):
-        code = run_cli(
-            "radius", "--n-grid", "50,100,200", "--trials", 0,
-            "--out", tmp_path / "radius.csv",
-        )
-        assert code == 2
+        assert_refused(tmp_path, "radius", "--n-grid", "50,100,200", "--trials", 0)
         assert "need at least one trial" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_repeated_sizes_without_writing(self, tmp_path):
         # three entries but two distinct sizes: the slope would be fitted
         # to a duplicated point
-        code = run_cli(
-            "radius", "--n-grid", "100,100,1000", "--trials", 3,
-            "--out", tmp_path / "radius.csv",
-        )
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
+        assert_refused(tmp_path, "radius", "--n-grid", "100,100,1000", "--trials", 3)
 
     @pytest.mark.parametrize("method,d", [
         pytest.param(method, d, id=method if d == 4 else f"{method}-d{d}")
         for d in (4, 1) for method in ("sgd", "scalar-bfgs")
     ])
     def test_rejects_unusable_method_without_writing(self, tmp_path, method, d):
-        code = run_cli(
-            "radius", "--method", method, "--d", d, "--n-grid", "50,100,200",
-            "--trials", 2, "--out", tmp_path / "radius.csv",
+        assert_refused(
+            tmp_path, "radius", "--method", method, "--d", d, "--n-grid", "50,100,200",
+            "--trials", 2,
         )
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
     def test_rejects_bad_init_radius_without_writing(self, tmp_path, radius):
-        code = run_cli(
-            "radius", "--regime", "high-snr", "--cov", "isotropic",
+        assert_refused(
+            tmp_path, "radius", "--regime", "high-snr", "--cov", "isotropic",
             "--n-grid", "100,1000,10000", "--trials", 8, "--init-radius", radius,
-            "--seed", 11, "--out", tmp_path / "radius.csv",
+            "--seed", 11,
         )
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed,theta_star", [(1, 1.0), (4, -1.0)])
     def test_high_snr_scalar_slope_is_negative(self, tmp_path, seed, theta_star):
@@ -381,13 +360,10 @@ class TestRadiusCommand:
     def test_zero_median_is_usage_error_without_writing(self, tmp_path, capsys):
         # at d = 1 the secant runs reach an error of exactly 0 on most
         # datasets, so the medians at n = 100 and n = 1000 are 0: no slope
-        code = run_cli(
-            "radius", "--d", 1, "--n-grid", "100,1000,10000", "--trials", 5,
-            "--out", tmp_path / "radius.csv",
+        assert_refused(
+            tmp_path, "radius", "--d", 1, "--n-grid", "100,1000,10000", "--trials", 5
         )
-        assert code == 2
         assert "(100.0, 0.0)" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
 
 # The CSV writer's reference: csv.writer over rows, each cell rendered on
@@ -768,19 +744,22 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == len(acceptance.CHECKS)
+        assert [entry[0] for entry in acceptance.CHECKS] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
-        checks = [(1, "holds", lambda: True), (2, "does not hold", lambda: False)]
+        checks = [(1, "holds", math.inf, lambda: True), (2, "does not hold", math.inf,
+                  lambda: False), (3, "overruns", 0.0, lambda: True)]
         monkeypatch.setattr(acceptance, "CHECKS", checks)
         assert run_cli("selfcheck") == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines == ["PASS — holds", "FAIL — does not hold", "selfcheck: 1 failure(s)"]
+        assert lines == ["PASS — holds", "FAIL — does not hold", "FAIL — overruns",
+                         "selfcheck: 2 failure(s)"]
 
     def test_raising_check_is_a_failure(self, capsys, monkeypatch):
         def crash():
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(acceptance, "CHECKS", [(1, "crashes", crash)])
+        monkeypatch.setattr(acceptance, "CHECKS", [(1, "crashes", math.inf, crash)])
         assert run_cli("selfcheck") == 1
         out = capsys.readouterr().out
         assert "FAIL — crashes (ZeroDivisionError: division by zero)" in out
