@@ -16,7 +16,7 @@ from qnbench.acceptance import radius_sweeps
 def show(tag, result):
     print(f"\n{tag}")
     print(f"{'n':>7} {'median':>10} {'q25':>10} {'q75':>10} {'iters':>6}")
-    for n, med, q25, q75, iters in result.summaries():
+    for n, med, q25, q75, iters in zip(*result.table.values()):
         print(f"{n:>7} {med:>10.4f} {q25:>10.4f} {q75:>10.4f} {iters:>6.1f}")
     print(f"fitted log-log slope: {result.fitted_slope:+.3f} "
           f"(stderr {result.slope_stderr:.3f})")

@@ -43,7 +43,6 @@ from .solvers import (
 from .glmsim import (
     GlmModelConfig,
     RadiusSweepResult,
-    RadiusTrialRow,
     draw_trial,
     early_stop_by_validation,
     fit_loglog_slope,

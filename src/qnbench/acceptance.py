@@ -198,7 +198,8 @@ def scalar_inequalities():
     return ok
 
 
-RADIUS_N_GRID = [100, 316, 1000, 3162, 10000]
+# Criterion 9's bands, (target, tolerance), for the fitted radius slopes.
+LOW_SNR_BAND, HIGH_SNR_BAND = (-0.25, 0.08), (-0.5, 0.1)
 
 
 def radius_sweeps():
@@ -208,24 +209,23 @@ def radius_sweeps():
     the n^(-1/2) line is measurable (see the radius notes in the README)."""
     solver = SolverConfig(max_iters=100)
     low = glmsim.run_radius_sweep(
-        glmsim.low_snr_config(4, 2), solver, RADIUS_N_GRID, trials=40, seed0=11,
-        init_radius=2.0, method="bfgs",
+        glmsim.low_snr_config(4, 2), solver, glmsim.RADIUS_N_GRID, trials=40,
+        seed0=11, init_radius=2.0, method="bfgs",
     )
     high = glmsim.run_radius_sweep(
-        glmsim.high_snr_config(4, 2, 11, cov=np.ones(4)), solver, RADIUS_N_GRID,
+        glmsim.high_snr_config(4, 2, 11, cov=np.ones(4)), solver, glmsim.RADIUS_N_GRID,
         trials=40, seed0=11, init_radius=1.0, method="bfgs",
     )
     return low, high
 
 
 def statistical_radius_slopes():
-    low, high = radius_sweeps()
-    ok = abs(low.fitted_slope - (-0.25)) <= 0.08
-    ok = ok and abs(high.fitted_slope - (-0.5)) <= 0.1
-    # the iteration index of the best error grows no faster than log(n)
-    for sweep in (low, high):
-        iters = [s[4] for s in sweep.summaries()]
-        islope, _ = glmsim.fit_loglog_slope(RADIUS_N_GRID, [max(i, 0.5) for i in iters])
+    ok = True
+    for sweep, (target, tolerance) in zip(radius_sweeps(), (LOW_SNR_BAND, HIGH_SNR_BAND)):
+        ok = ok and abs(sweep.fitted_slope - target) <= tolerance
+        # the iteration index of the best error grows no faster than log(n)
+        iters = sweep.table["median_iters_to_min"]
+        islope, _ = glmsim.fit_loglog_slope(sweep.table["n"], [max(i, 0.5) for i in iters])
         ok = ok and islope < 1.0 and max(iters) <= 50
     return ok
 
@@ -275,9 +275,9 @@ CHECKS = (
     (8, "scalar secant runs decrease strictly, stay positive, and obey the "
         "p/(p+1) floor above twice the stationary scale (p in {2,3}, 20 seeds)",
      30.0, scalar_inequalities),
-    (9, "BFGS radius slopes: low-snr -0.25±0.08, high-snr -0.5±0.1 (p = 2, "
-        "d = 4, 40 trials per n), best-error index at most 50 and growing "
-        "slower than n", 300.0, statistical_radius_slopes),
+    (9, "BFGS radius slopes: low-snr {:g}±{:g}, high-snr {:g}±{:g} (p = 2, d = 4, "
+        "40 trials per n), best-error index at most 50 and growing slower than n"
+        .format(*LOW_SNR_BAND, *HIGH_SNR_BAND), 300.0, statistical_radius_slopes),
     (11, "rerunning every benchmark command with the same seed yields "
          "byte-identical CSV output", math.inf, determinism),
     (12, "identical seeds reproduce identical datasets", math.inf, dataset_determinism),

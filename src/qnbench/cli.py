@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__, rng
 from .glmsim import (
+    RADIUS_N_GRID,
     early_stop_by_validation,
     high_snr_config,
     low_snr_config,
@@ -373,7 +374,7 @@ def cmd_empirical(params) -> int:
 
 RADIUS_SPEC = [
     ("regime", "str", "low-snr"),
-    ("n-grid", "ints", [100, 316, 1000, 3162, 10000]),
+    ("n-grid", "ints", RADIUS_N_GRID),
     ("trials", "int", 40),
     ("d", "int", 4),
     ("p", "int", 2),
@@ -387,8 +388,6 @@ RADIUS_SPEC = [
 
 
 def cmd_radius(params) -> int:
-    if len(params["n-grid"]) < 3:
-        raise ValueError("need at least three sample sizes")
     config = _glm_config(
         params["regime"], params["d"], params["p"], params["seed"],
         cov=params["cov"],
@@ -402,13 +401,12 @@ def cmd_radius(params) -> int:
         init_radius=params["init-radius"],
         method=params["method"],
     )
-    rows = list(result.summaries())
-    rows.append(("slope", result.fitted_slope, result.slope_stderr, "", ""))
+    footer = ["slope", result.fitted_slope, result.slope_stderr, "", ""]
     out = _out_path(params["out"])
     _write_csv(
         out,
-        ["n", "median_min_error", "q25", "q75", "median_iters_to_min"],
-        [list(zip(*rows))],
+        list(result.table),
+        [list(result.table.values()), [[cell] for cell in footer]],
     )
     _write_manifest(
         out,
@@ -417,7 +415,7 @@ def cmd_radius(params) -> int:
         extras={
             "fitted_slope": result.fitted_slope,
             "slope_stderr": result.slope_stderr,
-            "flagged_trials": sum(1 for row in result.rows if row.flagged),
+            "flagged_trials": result.flagged_trials,
         },
     )
     return EXIT_OK

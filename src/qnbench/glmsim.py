@@ -16,9 +16,11 @@ it with exact derivatives.
 
 ``run_trials`` is the one trial loop behind ``empirical`` and ``radius``:
 per (n, data seed) it draws the trial once and runs each method on its
-training part.  The radius sweep feeds it every (size, trial) pair,
-records the best error along each trace against theta_star, and fits the
-log-log slope of the per-size medians — the empirical statistical radius.
+training part.  The radius sweep feeds it every (size, trial) pair and
+records the best error along each trace against theta_star.  It computes
+the radius CSV's table once, under the CSV's column names, and fits the
+log-log slope to the per-size medians that table holds — the empirical
+statistical radius.
 """
 
 import math
@@ -44,6 +46,10 @@ _SCALAR_PULL = 0.999
 
 # Share of a dataset that ``split_train_validation`` keeps for training.
 _TRAIN_FRACTION = 0.9
+
+# Sample sizes of the radius command's default sweep and of acceptance
+# criterion 9; a list, which the manifest writes comma-joined.
+RADIUS_N_GRID = [100, 316, 1000, 3162, 10000]
 
 
 def default_covariance_diagonal(d: int) -> np.ndarray:
@@ -241,33 +247,17 @@ def fit_loglog_slope(xs, ys):
     return slope, stderr
 
 
-@dataclass(frozen=True)
-class RadiusTrialRow:
-    n: int
-    seed: int
-    min_error: float
-    iters_to_min: int
-    flagged: bool
-
-
 @dataclass
 class RadiusSweepResult:
-    """Per-trial rows (sorted by n) plus the fitted log-log slope of the
-    per-size median minimum errors."""
+    """The radius CSV's table: each column name, in CSV order, mapped to one
+    value per size in grid order.  The slope is fitted to its
+    ``median_min_error``; ``flagged_trials`` counts the runs that stopped
+    in ``STOPS_INTERRUPTED``."""
 
-    rows: list
+    table: dict
     fitted_slope: float
     slope_stderr: float
-
-    def summaries(self):
-        """Rows (n, median_min_error, q25, q75, median_iters_to_min)."""
-        out = []
-        for n in sorted({row.n for row in self.rows}):
-            errs = [row.min_error for row in self.rows if row.n == n]
-            iters = [row.iters_to_min for row in self.rows if row.n == n]
-            q25, q50, q75 = np.percentile(errs, [25, 50, 75])
-            out.append((n, float(q50), float(q25), float(q75), float(np.median(iters))))
-        return out
+    flagged_trials: int
 
 
 def run_glm_method(
@@ -327,26 +317,29 @@ def run_radius_sweep(
 ) -> RadiusSweepResult:
     """Sweep sample sizes: run ``method`` on each (n, trial) through
     ``run_trials``, record the minimum error to theta_star of each training
-    run, and fit the log-log slope of the per-size medians.
+    run, and fit the log-log slope of the table's per-size medians.
 
-    Trials are independent given their derived seeds; rows come out sorted
-    by n, then trial, regardless of evaluation order.
+    ``n_grid`` needs at least three sizes, strictly increasing; anything
+    else is a ``ValueError`` before any data are drawn.
     """
     n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 3:
+        raise ValueError("need at least three sample sizes")
     if any(later <= earlier for earlier, later in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     plan = [(n, rng.derive_seed(seed0, i_n, trial))
             for i_n, n in enumerate(n_grid) for trial in range(trials)]
+    errors, iters = {n: [] for n in n_grid}, {n: [] for n in n_grid}
+    flagged = 0
     # the radius is measured on the training nine tenths alone
     runs = run_trials(config, solver, plan, [method], init_radius)
-    rows = [
-        RadiusTrialRow(n=n, seed=data_seed, min_error=trace.min_error,
-                       iters_to_min=trace.iters_to_min,
-                       flagged=trace.stop_reason in STOPS_INTERRUPTED)
-        for n, data_seed, _method, trace, _val in runs
-    ]
-    medians = [
-        float(np.median([row.min_error for row in rows if row.n == n])) for n in n_grid
-    ]
-    slope, stderr = fit_loglog_slope(n_grid, medians)
-    return RadiusSweepResult(rows=rows, fitted_slope=slope, slope_stderr=stderr)
+    for n, _seed, _method, trace, _val in runs:
+        errors[n].append(trace.min_error)
+        iters[n].append(trace.iters_to_min)
+        flagged += trace.stop_reason in STOPS_INTERRUPTED
+    quartiles = [np.percentile(errors[n], [25, 50, 75]).tolist() for n in n_grid]
+    q25, q50, q75 = map(list, zip(*quartiles))
+    table = {"n": n_grid, "median_min_error": q50, "q25": q25, "q75": q75,
+             "median_iters_to_min": [float(np.median(iters[n])) for n in n_grid]}
+    slope, stderr = fit_loglog_slope(n_grid, q50)
+    return RadiusSweepResult(table, slope, stderr, flagged)

@@ -314,8 +314,9 @@ class TestRadiusCommand:
             "--seed", 3,
         )
 
-    def test_rejects_short_grid(self, tmp_path):
-        assert run_cli("radius", "--n-grid", "100,200", "--out", tmp_path / "x.csv") == 2
+    def test_rejects_short_grid(self, tmp_path, capsys):
+        assert_refused(tmp_path, "radius", "--n-grid", "100,200")
+        assert "need at least three sample sizes" in capsys.readouterr().err
 
     def test_rejects_zero_trials_without_writing(self, tmp_path, capsys):
         assert_refused(tmp_path, "radius", "--n-grid", "50,100,200", "--trials", 0)
@@ -499,7 +500,8 @@ class TestCsvRendering:
         )
         assert code == 0
         [(_, result)] = calls
-        rows = [*result.summaries(),
+        assert result.table["n"] == [50, 100, 200]
+        rows = [*zip(*result.table.values()),
                 ("slope", result.fitted_slope, result.slope_stderr, "", "")]
         assert out.read_bytes() == reference_csv(
             ["n", "median_min_error", "q25", "q75", "median_iters_to_min"], rows
@@ -590,6 +592,22 @@ class TestPinnedOutputs:
     ])
     def test_digests(self, tmp_path, monkeypatch, argv, csv_digest, manifest_digest):
         assert self.digests(tmp_path, monkeypatch, argv) == [csv_digest, manifest_digest]
+
+    @pytest.mark.parametrize("d", [4, 1])
+    def test_radius_slope_is_the_fit_of_the_printed_medians(self, tmp_path, monkeypatch, d):
+        self.digests(tmp_path, monkeypatch, (*self.RADIUS, "--d", d))
+        _, rows = read_csv(tmp_path / "out.csv")
+        *sizes, footer = rows
+        slope, stderr = qnbench.glmsim.fit_loglog_slope(
+            [float(row[0]) for row in sizes], [float(row[1]) for row in sizes]
+        )
+        manifest = dict(
+            line.split("=", 1)
+            for line in (tmp_path / "out.csv.manifest").read_text().splitlines()
+        )
+        assert float(manifest["fitted_slope"]) == slope
+        assert float(manifest["slope_stderr"]) == stderr
+        assert footer == ["slope", repr(slope), repr(stderr), "", ""]
 
     @pytest.mark.parametrize("argv,csv_digest,manifest_digest", [
         pytest.param(

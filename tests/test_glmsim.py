@@ -448,28 +448,88 @@ class TestRadiusSweep:
         defaults.update(kwargs)
         return run_radius_sweep(**defaults)
 
-    def test_rows_sorted_and_complete(self):
+    @staticmethod
+    def record_runs(monkeypatch, name="run_glm_method"):
+        """The arguments of every call to glmsim's ``name``."""
+        import qnbench.glmsim as glmsim
+
+        real = getattr(glmsim, name)
+        calls = []
+
+        def keep(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(glmsim, name, keep)
+        return calls
+
+    def test_rows_sorted_and_complete(self, monkeypatch):
+        runs = self.record_runs(monkeypatch)
         result = self.sweep()
-        assert [row.n for row in result.rows] == [50] * 5 + [100] * 5 + [200] * 5
-        assert all(row.min_error >= 0.0 for row in result.rows)
+        assert list(result.table) == [
+            "n", "median_min_error", "q25", "q75", "median_iters_to_min"
+        ]
+        assert result.table["n"] == [50, 100, 200]
+        assert all(len(column) == 3 for column in result.table.values())
+        # every run is made, size by size in grid order, on the training part
+        assert [loss.n for _method, loss, *_ in runs] == [45] * 5 + [90] * 5 + [180] * 5
+        assert all(error >= 0.0 for error in result.table["q25"])
 
     def test_summary_quantile_ordering(self):
-        result = self.sweep()
-        for n, median, q25, q75, _ in result.summaries():
+        table = self.sweep().table
+        for q25, median, q75 in zip(table["q25"], table["median_min_error"], table["q75"]):
             assert q25 <= median <= q75
 
     def test_deterministic(self):
         a = self.sweep()
         b = self.sweep()
-        assert a.fitted_slope == b.fitted_slope
-        assert all(
-            ra.min_error == rb.min_error and ra.seed == rb.seed
-            for ra, rb in zip(a.rows, b.rows)
-        )
+        assert a.table == b.table
+        assert (a.fitted_slope, a.slope_stderr) == (b.fitted_slope, b.slope_stderr)
 
     def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            self.sweep(n_grid=[100, 50])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.sweep(n_grid=[100, 50, 200])
+
+    def test_rejects_short_grid_before_any_dataset(self, monkeypatch):
+        import qnbench.glmsim as glmsim
+
+        def no_data(*args):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(glmsim, "generate_dataset", no_data)
+        with pytest.raises(ValueError, match="need at least three sample sizes"):
+            self.sweep(n_grid=[50, 100])
+
+    def test_slope_is_fitted_to_the_table_medians(self, monkeypatch):
+        # two trials per size whose np.median and np.percentile differ in
+        # the last bit; the slope and its stderr are those of the medians
+        # the table (and so the CSV) holds
+        import qnbench.glmsim as glmsim
+        from qnbench.solvers import SolverTrace
+
+        pairs = [
+            (7.513269487278362e-05, 0.0005510449957933047),
+            (0.00044005061215591205, 9.261766771369695e-05),
+            (0.00012856232576884604, 1.9945337648167302e-05),
+        ]
+        errors = iter([error for pair in pairs for error in pair])
+        stops = iter(["grad-tol", "diverged"] + ["grad-tol"] * 4)
+
+        def one_record(method, loss, theta0, config, theta_ref):
+            return SolverTrace(
+                iterates=np.zeros((1, loss.d)), errors=np.array([next(errors)]),
+                grad_norms=np.zeros(1), losses=np.zeros(1), stop_reason=next(stops),
+            )
+
+        monkeypatch.setattr(glmsim, "run_glm_method", one_record)
+        result = self.sweep(trials=2)
+        medians = [float(np.percentile(pair, [25, 50, 75])[1]) for pair in pairs]
+        slope, stderr = fit_loglog_slope([50, 100, 200], medians)
+        assert result.fitted_slope == slope
+        assert result.slope_stderr == stderr
+        assert result.table["median_min_error"] == medians
+        assert result.table["median_iters_to_min"] == [0.0] * 3
+        assert result.flagged_trials == 1
 
     def test_unknown_method_rejected_before_any_dataset(self, monkeypatch):
         import qnbench.glmsim as glmsim
@@ -502,15 +562,19 @@ class TestRadiusSweep:
             raise AssertionError("the sweep ran the validation early stop")
 
         monkeypatch.setattr(glmsim, "early_stop_by_validation", no_early_stop)
-        assert len(self.sweep().rows) == 15
+        runs = self.record_runs(monkeypatch)
+        self.sweep()
+        assert len(runs) == 15
 
-    def test_scalar_solver_used_in_one_dimension(self):
+    def test_scalar_solver_used_in_one_dimension(self, monkeypatch):
+        runs = self.record_runs(monkeypatch, "run_scalar_bfgs")
         config = low_snr_config(1, 2)
         solver = SolverConfig(max_iters=30)
         result = run_radius_sweep(
             config, solver, [50, 100, 200], 3, seed0=31, method="bfgs"
         )
-        assert len(result.rows) == 9
+        assert len(runs) == 9
+        assert result.table["n"] == [50, 100, 200]
 
     def test_noiseless_identifiability_up_to_sign(self):
         # high SNR without noise: the solver lands on the truth (or its mirror)
@@ -544,14 +608,17 @@ class TestRadiusSweep:
         )
         assert low.fitted_slope > high.fitted_slope
 
-    def test_other_methods_dispatch(self):
+    def test_other_methods_dispatch(self, monkeypatch):
+        runs = self.record_runs(monkeypatch, "run_method")
         config = low_snr_config(2, 2)
         for method in ("gd-constant", "gd-polyak", "newton"):
             solver = SolverConfig(step_size=0.1, max_iters=20)
             result = run_radius_sweep(
                 config, solver, [50, 100, 150], 2, seed0=37, method=method
             )
-            assert len(result.rows) == 6
+            assert [args[0] for args in runs] == [method] * 6
+            assert result.table["n"] == [50, 100, 150]
+            runs.clear()
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
     def test_polyak_matches_the_target_clamped_to_the_start(self, radius):
