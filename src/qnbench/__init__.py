@@ -18,6 +18,7 @@ from .objectives import (
     SingularHessianError,
     central_difference_gradient,
     central_difference_jacobian,
+    design_gram,
     random_pow_norm_objective,
 )
 from .rates import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .objectives import EmpiricalGlmLoss, PowNormObjective
+from .objectives import EmpiricalGlmLoss, PowNormObjective, design_gram
 from .solvers import METHODS, STOPS_INTERRUPTED, SolverConfig, run_method, run_scalar_bfgs
 
 # Variance of the label noise; the population loss at the truth.
@@ -128,9 +128,8 @@ def low_snr_population_objective(config: GlmModelConfig) -> PowNormObjective:
     # (2p-1)!!, the 2p-th moment of a standard normal
     moment = math.prod(range(1, 2 * config.p, 2))
     scale = moment ** (1.0 / (2 * config.p))
-    return PowNormObjective(
-        np.diag(scale * np.sqrt(config.cov)), np.zeros(config.d), 2 * config.p
-    )
+    design = np.diag(scale * np.sqrt(config.cov))
+    return PowNormObjective(design_gram(design), np.zeros(config.d), 2 * config.p)
 
 
 def generate_dataset(config: GlmModelConfig, n: int, seed: int) -> EmpiricalGlmLoss:

@@ -86,38 +86,55 @@ def _glm_moments(x, y, p: int):
     return c / n, b / n, m / n
 
 
+def design_gram(a) -> np.ndarray:
+    """The Gram matrix ``A'A`` of a design ``A``, the form in which
+    ``PowNormObjective`` takes it.
+
+    ``a`` must be a finite 2-d matrix with at least one row and column
+    (``ValueError`` otherwise).  A product that overflows is returned as it
+    is, inf or NaN, for ``PowNormObjective``'s Gram floor to reject.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError("a must be a 2-d matrix with at least one row and column")
+    if not np.isfinite(a).all():
+        raise ValueError("a must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.T @ a
+
+
 class PowNormObjective:
     """Convex objective f(theta) = ||A theta - b||**q with integer q >= 4.
 
     The target is ``b = A @ theta_opt`` for the supplied solution, so the
     problem is realizable by construction: the minimum value is exactly
     zero and (with A'A positive definite) ``theta_opt`` is the unique
-    minimizer.  ``b`` is never stored: every evaluation works in the error
-    ``e = theta - theta_opt`` through the Gram matrix ``G = A'A``, with
+    minimizer.  Neither ``A`` nor ``b`` is stored: the instance is built
+    from the Gram matrix ``G = A'A`` (see ``design_gram``), and every
+    evaluation works in the error ``e = theta - theta_opt``, with
     ``A theta - b = A e``, ``||A e||**2 = e'Ge`` and ``A'(A e) = G e``.
     One d-by-d matvec replaces two m-by-d ones, and no residual cancels
-    near the optimum.  ``A`` is used only to build ``G`` and ``G^{-1}``,
-    which the closed-form Hessian inverse reuses at every point.
+    near the optimum.  ``G^{-1}`` is formed once, for the closed-form
+    Hessian inverse at every point.  ``gram`` is kept, not copied, so it
+    must not change after construction.
     """
 
-    def __init__(self, a, theta_opt, q: int):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or 0 in a.shape:
-            raise ValueError("a must be a 2-d matrix with at least one row and column")
+    def __init__(self, gram, theta_opt, q: int):
+        gram = np.asarray(gram, dtype=float)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
+            raise ValueError("gram must be a square matrix with at least one row")
         if not (isinstance(q, (int, np.integer)) and q >= 4):
             raise ValueError(f"exponent q must be an integer >= 4, got {q!r}")
-        self.a = a
-        self.m, self.d = a.shape
+        self.d = len(gram)
         self.q = int(q)
         self.theta_opt = _as_vector(theta_opt, self.d, "theta_opt")
-        if not (np.isfinite(a).all() and np.isfinite(self.theta_opt).all()):
-            raise ValueError("a and theta_opt must be finite")
+        if not np.isfinite(self.theta_opt).all():
+            raise ValueError("theta_opt must be finite")
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._gram = a.T @ a
+        self._gram = gram
         # ascending eigenvalues of A'A: the squared singular values of A;
         # stated positively, so an overflowed (NaN) Gram matrix fails it
-        eigs = np.linalg.eigvalsh(self._gram)
+        eigs = np.linalg.eigvalsh(gram)
         if not eigs[0] >= GRAM_POSITIVITY_FLOOR:
             raise AssumptionViolationError(
                 f"smallest singular value squared {eigs[0]:.3e} is not at "
@@ -127,7 +144,7 @@ class PowNormObjective:
         # the floor tests a rounded eigenvalue, not conditioning, so an
         # ill-conditioned Gram matrix can pass it and still be singular to LU
         try:
-            gram_inv = np.linalg.inv(self._gram)
+            gram_inv = np.linalg.inv(gram)
         except np.linalg.LinAlgError as err:
             raise AssumptionViolationError(
                 f"A'A is numerically singular (condition number of A "
@@ -361,7 +378,9 @@ def random_pow_norm_objective(
 
     The entry scale is configurable; conditioning is reported on the
     instance rather than controlled.  Draws failing the positivity floor
-    are resampled up to ``_MAX_DRAWS`` times before giving up.
+    are resampled up to ``_MAX_DRAWS`` times before giving up.  Each m-by-d
+    draw is freed once its Gram matrix is formed, before the O(d^3)
+    eigenvalue and inverse factorizations run.
     """
     if theta_opt is None:
         theta_opt = rng.normals(rng.derive_seed(seed, 1), d)
@@ -369,10 +388,14 @@ def random_pow_norm_objective(
     for attempt in range(_MAX_DRAWS):
         a = rng.normals(rng.derive_seed(seed, 0, attempt), m * d).reshape(m, d)
         a *= entry_std
+        gram = design_gram(a)
+        del a
         try:
-            return PowNormObjective(a, theta_opt, q)
+            return PowNormObjective(gram, theta_opt, q)
         except AssumptionViolationError as err:
-            last_error = err
+            # the message only: the error's traceback would keep the
+            # rejected Gram matrix alive through the next draw
+            last_error = str(err)
     raise AssumptionViolationError(
         f"no admissible matrix after {_MAX_DRAWS} draws: {last_error}"
     )

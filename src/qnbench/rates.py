@@ -13,12 +13,13 @@ Newton's method contracts by the constant (q - 2)/(q - 1) < r_* instead.
 This module is the oracle that solver tests compare against.  Everything
 here is stateless and pure.  Double precision covers solver comparisons;
 the geometric-envelope check needs gaps far below 1e-16, so the table used
-for it runs on mpmath arbitrary precision.
+for it runs on mpmath arbitrary precision.  mpmath is imported by the two
+functions that use it, so importing this module (and the CLI) does not
+load it.
 """
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 
@@ -140,6 +141,8 @@ def _highprec_factors(q, k_max):
     steps on ``r**(q-1) + r**(q-2) - 1`` until a step no longer moves it;
     from 15 correct digits, ten quadratic steps pass 10**4.
     """
+    import mpmath
+
     q = _check_q(q)
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -168,6 +171,8 @@ def _highprec_factors(q, k_max):
 def _gap_rows(q, k_max):
     """Rows ``(r_k, r_*, |r_k - r_*|, (1/2)**k |r_0 - r_*|)`` for
     k = 0..k_max, as mpmath numbers from ``_highprec_factors``."""
+    import mpmath
+
     factors, r_star = _highprec_factors(q, k_max)
     gap0 = abs(factors[0] - r_star)
     return [

@@ -351,12 +351,20 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     return _iterate(evaluate, [start], theta_ref, config, step)
 
 
-def _update_factors(s, u, w):
-    """The balanced factors of one BFGS update, given ``w = H u``: a
-    ``(2, d)`` array of rows ``p, m`` with ``H_new = H + p p' - m m'``, or
-    ``None`` when the update changes nothing (``a = 0``); see
-    ``bfgs_update`` for the formulas and what it raises."""
-    curvature = float(s.dot(u))
+def _secant_terms(s, u):
+    """``(s'u, ||s||)``: the reductions a BFGS update reads; a run takes
+    them once per step, from ``_curvature``."""
+    return float(s @ u), _norm(s)
+
+
+def _update_factors(s, u, w, terms, out) -> bool:
+    """Write the balanced factors of one BFGS update, given ``w = H u`` and
+    ``terms = _secant_terms(s, u)``, to the rows ``p, m`` of the ``(2, d)``
+    array ``out``, with ``H_new = H + p p' - m m'``; return ``False``, with
+    ``out`` untouched, when the update changes nothing (``a = 0``).  See
+    ``bfgs_update`` for the formulas and what it raises; ``out`` is
+    untouched when it raises."""
+    curvature, s_norm = terms
     if curvature == 0.0:
         raise ZeroDivisionError("curvature s'u is zero")
     rho = 1.0 / curvature
@@ -366,13 +374,15 @@ def _update_factors(s, u, w):
     a = 0.5 * coeff * s - rho * w
     norm_a = math.sqrt(a.dot(a))
     if norm_a == 0.0:
-        return None
-    lam = math.sqrt(norm_a / math.sqrt(s.dot(s)))
+        return False
+    lam = math.sqrt(norm_a / s_norm)
     if not (math.isfinite(lam) and lam > 0.0):
         raise OverflowError(f"update scale overflows at s'u = {curvature:.3e}")
     scaled_s = (lam * SQRT_HALF) * s
     scaled_a = (SQRT_HALF / lam) * a
-    return np.array((scaled_s + scaled_a, scaled_s - scaled_a))
+    np.add(scaled_s, scaled_a, out=out[0])
+    np.subtract(scaled_s, scaled_a, out=out[1])
+    return True
 
 
 def flush_pairs(h, pairs) -> np.ndarray:
@@ -420,8 +430,8 @@ def bfgs_update(h, s, u) -> np.ndarray:
     is not finite (or ``lam`` is zero); ``h`` is left untouched in both
     cases.
     """
-    factors = _update_factors(s, u, h.dot(u))
-    if factors is not None:
+    factors = np.empty((2, len(s)))
+    if _update_factors(s, u, h.dot(u), _secant_terms(s, u), factors):
         flush_pairs(h, factors)
     return h
 
@@ -450,22 +460,26 @@ class _InverseHessian:
             out += pairs.T.dot(SIGNS[: self.pending] * pairs.dot(g))
         return out
 
-    def update(self, s, u, direction, g) -> np.ndarray:
+    def update(self, s, u, direction, g, terms=None) -> np.ndarray:
         """Apply the update for step ``s`` and gradient change ``u``, given
         the last direction ``H g_prev`` and the new gradient
         ``g = g_prev + u``, and return the new direction ``H_new g``.
 
         With ``v = H g``, ``H u = v - direction`` and
         ``H_new g = v + p (p'g) - m (m'g)``, so ``v`` is the update's only
-        product with ``h``.  Raises as ``bfgs_update`` does and then leaves
-        the state untouched; an update that changes nothing returns ``v``.
+        product with ``h``.  ``terms`` is ``_secant_terms(s, u)`` when the
+        caller has it already.  The factors are written straight into the
+        next rows of ``pairs``.  Raises as ``bfgs_update`` does and then
+        leaves the state untouched; an update that changes nothing
+        returns ``v``.
         """
         v = self.times(g)
-        factors = _update_factors(s, u, v - direction)
-        if factors is None:
+        factors = self.pairs[self.pending : self.pending + 2]
+        if terms is None:
+            terms = _secant_terms(s, u)
+        if not _update_factors(s, u, v - direction, terms, factors):
             return v
         v += factors.T.dot(SIGNS[:2] * factors.dot(g))
-        self.pairs[self.pending : self.pending + 2] = factors
         self.pending += 2
         if self.pending == len(self.pairs):
             flush_pairs(self.h, self.pairs)
@@ -506,11 +520,11 @@ def run_bfgs(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
 
 
 def _curvature(s, u):
-    """``s'u``, or ``None`` where BFGS breaks down: where it is non-finite
-    or at most ``CURVATURE_FLOOR * ||s|| ||u||``."""
-    curvature = float(s @ u)
-    floor = CURVATURE_FLOOR * (_norm(s) * _norm(u))
-    return curvature if math.isfinite(curvature) and not curvature <= floor else None
+    """``_secant_terms(s, u)``, or ``None`` where BFGS breaks down: where
+    ``s'u`` is non-finite or at most ``CURVATURE_FLOOR * ||s|| ||u||``."""
+    terms = curvature, s_norm = _secant_terms(s, u)
+    floor = CURVATURE_FLOOR * (s_norm * _norm(u))
+    return terms if math.isfinite(curvature) and not curvature <= floor else None
 
 
 def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
@@ -544,14 +558,14 @@ def _run_bfgs(evaluate, starts, h, config, theta_ref) -> SolverTrace:
     def after(theta, grad, theta_next, grad_next):
         nonlocal direction
         s, u = theta_next - theta, grad_next - grad
-        curvature = _curvature(s, u)
-        if curvature is None:
+        terms = _curvature(s, u)
+        if terms is None:
             return STOP_SECANT_BREAKDOWN
         try:
-            direction = inverse.update(s, u, direction, grad_next)
+            direction = inverse.update(s, u, direction, grad_next, terms)
         except OverflowError:
             return STOP_SECANT_BREAKDOWN
-        curvatures.append(curvature)
+        curvatures.append(terms[0])
         return None
 
     return _iterate(

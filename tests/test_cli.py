@@ -851,17 +851,48 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 """
 
 
+# Imports the CLI, notes whether mpmath came with it, then writes a
+# factors table (which needs mpmath) and prints the sha256 of its CSV and
+# manifest, the output directory masked as in TestPinnedOutputs.
+FACTORS_SCRIPT = """
+import hashlib, json, os, sys
+import qnbench.cli
+loaded = "mpmath" in sys.modules
+code = qnbench.cli.main(["factors", "--q", "4", "--k-max", "40", "--out", "f.csv"])
+out = os.environ["QNBENCH_OUT_DIR"]
+print(json.dumps({"mpmath_on_import": loaded, "code": code, "digests": [
+    hashlib.sha256(open(os.path.join(out, name), "rb").read().replace(
+        out.encode(), b"$QNBENCH_OUT_DIR")).hexdigest()
+    for name in ("f.csv", "f.csv.manifest")]}))
+"""
+
+
+def run_script(script, tmp_path):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    qnbench, writing into ``tmp_path``; return its last stdout line as JSON."""
+    src = str(Path(qnbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "QNBENCH_OUT_DIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestDependencies:
     def test_commands_load_no_scipy(self, tmp_path):
         # numpy's LAPACK does every dense solve: a second BLAS (scipy's
         # OpenBLAS, with its own thread pool) must not load at all
-        src = str(Path(qnbench.__file__).resolve().parent.parent)
-        env = {**os.environ, "QNBENCH_OUT_DIR": str(tmp_path),
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c", COMMANDS_SCRIPT], env=env, cwd=tmp_path,
-            capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        report = json.loads(done.stdout.splitlines()[-1])
+        report = run_script(COMMANDS_SCRIPT, tmp_path)
         assert report == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+    def test_cli_import_loads_no_mpmath(self, tmp_path):
+        # only the high-precision factor table imports mpmath, when it runs;
+        # the table's bytes are those written when mpmath loaded with rates
+        report = run_script(FACTORS_SCRIPT, tmp_path)
+        assert report == {"mpmath_on_import": False, "code": 0, "digests": [
+            "3951ba9305ed750e021d0fdd08397f5d84430c8ab469b60176b68d6072512b7d",
+            "49e9fbbbcddf46833fd0772456cc0dd2855a0f0fbb3d382d1fa3e73e19e32cd4",
+        ]}

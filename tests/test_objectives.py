@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,26 @@ from qnbench.objectives import (
     SingularHessianError,
     central_difference_gradient,
     central_difference_jacobian,
+    design_gram,
     random_pow_norm_objective,
 )
 
 
 def scalar_quartic():
     # f(theta) = theta**4 in one dimension
-    return PowNormObjective(np.array([[1.0]]), np.array([0.0]), 4)
+    return PowNormObjective(design_gram([[1.0]]), np.array([0.0]), 4)
+
+
+def drawn_design(obj, seed, m, entry_std=1.0):
+    """The design ``random_pow_norm_objective(obj.d, m, q, seed, entry_std)``
+    drew for ``obj``, redrawn from its stream: the first draw whose Gram
+    matrix is the instance's, to the bit."""
+    for attempt in range(objectives._MAX_DRAWS):
+        draw = rng.normals(rng.derive_seed(seed, 0, attempt), m * obj.d)
+        a = entry_std * draw.reshape(m, obj.d)
+        if np.array_equal(design_gram(a), obj._gram):
+            return a
+    raise AssertionError("no draw of the stream has the instance's Gram matrix")
 
 
 class TestPowNormValue:
@@ -30,12 +45,13 @@ class TestPowNormValue:
 
     def test_matches_elementwise_summation_oracle(self):
         obj = random_pow_norm_objective(3, 5, 6, seed=9)
+        a = drawn_design(obj, 9, 5)
         theta = rng.normals(10, 3)
         # independent oracle: residual norm accumulated row by row, with
         # the target b = A theta_opt
         total = 0.0
-        for j in range(obj.m):
-            row = sum(obj.a[j, k] * (theta[k] - obj.theta_opt[k]) for k in range(3))
+        for j in range(5):
+            row = sum(a[j, k] * (theta[k] - obj.theta_opt[k]) for k in range(3))
             total += row * row
         expected = total ** (6 / 2)
         assert abs(obj.value(theta) - expected) <= 1e-12 * abs(expected)
@@ -53,7 +69,9 @@ class TestPowNormValue:
         for seed in range(60):
             u = np.linalg.qr(rng.normals(seed, 9).reshape(3, 3))[0]
             try:
-                obj = PowNormObjective(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T, np.zeros(3), 4)
+                obj = PowNormObjective(
+                    design_gram(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T), np.zeros(3), 4
+                )
             except AssumptionViolationError:
                 continue
             value, grad = obj.value_and_gradient(1e-3 * u[:, 2])
@@ -71,12 +89,13 @@ class TestPowNormValue:
         # at theta_opt + s z the residual A theta - b would cancel to a few
         # digits; the oracle forms A e from the error directly
         obj = random_pow_norm_objective(d, d + extra, q, seed)
+        a = drawn_design(obj, seed, d + extra)
         theta = obj.theta_opt + 10.0 ** log_s * rng.normals(rng.derive_seed(seed, 9), d)
-        ae = obj.a @ (theta - obj.theta_opt)
+        ae = a @ (theta - obj.theta_opt)
         norm = float(np.linalg.norm(ae))
         value, grad = obj.value_and_gradient(theta)
         assert max_relative_gap(value, norm ** q) <= 1e-12
-        assert max_relative_gap(grad, q * norm ** (q - 2) * (obj.a.T @ ae)) <= 1e-12
+        assert max_relative_gap(grad, q * norm ** (q - 2) * (a.T @ ae)) <= 1e-12
 
 
 class TestPowNormDerivatives:
@@ -204,42 +223,49 @@ class TestPowNormConstruction:
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 2)])
     def test_rejects_empty_design(self, shape):
         with pytest.raises(ValueError, match="at least one row and column"):
-            PowNormObjective(np.zeros(shape), np.zeros(shape[1]), 4)
+            design_gram(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 2), (2,)])
+    def test_rejects_a_gram_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            PowNormObjective(np.ones(shape), np.zeros(shape[-1]), 4)
 
     def test_rejects_rank_deficient_design(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(AssumptionViolationError):
-            PowNormObjective(a, np.zeros(2), 4)
+            PowNormObjective(design_gram(a), np.zeros(2), 4)
 
     def test_gram_singular_to_lu_is_an_assumption_violation(self):
         # cond(A) = 5e8: this rotation passes the Gram floor, but LU finds
         # A'A singular (on OpenBLAS 0.3.31, as do 4 more of seeds 0..59)
         u = np.linalg.qr(rng.normals(3, 9).reshape(3, 3))[0]
+        gram = design_gram(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T)
         with pytest.raises(AssumptionViolationError, match="numerically singular"):
-            PowNormObjective(u @ np.diag([1e4, 1.0, 2e-5]) @ u.T, np.zeros(3), 4)
+            PowNormObjective(gram, np.zeros(3), 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
-            PowNormObjective([[bad, 0.0], [0.0, 1.0]], np.zeros(2), 4)
+            design_gram([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="must be finite"):
             PowNormObjective(np.eye(2), [bad, 0.0], 4)
 
     def test_overflowing_gram_is_an_assumption_violation(self):
         # 1e200 squared overflows: A'A holds inf and its eigenvalues are NaN
         with pytest.raises(AssumptionViolationError, match="nan"):
-            PowNormObjective([[1e200, 0.0], [0.0, 1.0]], np.zeros(2), 4)
+            PowNormObjective(design_gram([[1e200, 0.0], [0.0, 1.0]]), np.zeros(2), 4)
 
     def test_target_is_constructed_from_solution(self):
         # b = A theta_opt is implied by the solution, not stored
         obj = random_pow_norm_objective(3, 6, 4, seed=23)
+        a = drawn_design(obj, 23, 6)
         theta = rng.normals(24, 3)
-        expected = np.linalg.norm(obj.a @ theta - obj.a @ obj.theta_opt) ** 4
+        expected = np.linalg.norm(a @ theta - a @ obj.theta_opt) ** 4
         assert obj.value(theta) == pytest.approx(expected, rel=1e-12)
         assert not hasattr(obj, "b")
 
     def test_condition_number_reported(self):
-        obj = PowNormObjective(np.diag([4.0, 1.0]), np.zeros(2), 4)
+        obj = PowNormObjective(design_gram(np.diag([4.0, 1.0])), np.zeros(2), 4)
         assert obj.condition_number == pytest.approx(4.0, rel=1e-12)
 
 
@@ -453,20 +479,21 @@ class TestRandomInstances:
     def test_deterministic(self):
         a = random_pow_norm_objective(3, 6, 4, seed=51)
         b = random_pow_norm_objective(3, 6, 4, seed=51)
-        assert np.array_equal(a.a, b.a)
+        assert np.array_equal(a._gram, b._gram)
+        assert np.array_equal(a._gram_inv, b._gram_inv)
         assert np.array_equal(a.theta_opt, b.theta_opt)
 
     def test_entry_scale(self):
         obj = random_pow_norm_objective(4, 400, 4, seed=52, entry_std=2.0)
-        assert 1.5 <= np.std(obj.a) <= 2.5
+        assert 1.5 <= np.std(drawn_design(obj, 52, 400, entry_std=2.0)) <= 2.5
 
     def test_matrix_is_the_scaled_draw_across_a_block_edge(self):
         # 70 * 1000 entries span two blocks of the draw; scaling in place
-        # gives the bits of scaling a copy
+        # gives the bits of scaling a copy, and so the same Gram matrix
         d, m, entry_std = 70, 1000, 1.0 / np.sqrt(1000)
         obj = random_pow_norm_objective(d, m, 4, seed=53, entry_std=entry_std)
         draw = rng.normals(rng.derive_seed(53, 0, 0), m * d).reshape(m, d)
-        assert (entry_std * draw).tobytes() == obj.a.tobytes()
+        assert design_gram(entry_std * draw).tobytes() == obj._gram.tobytes()
 
     def test_redraws_a_matrix_singular_to_lu(self, monkeypatch):
         # the first draw's inverse fails as an ill-conditioned one's does,
@@ -484,4 +511,79 @@ class TestRandomInstances:
         obj = random_pow_norm_objective(3, 6, 4, seed=51)
         assert len(calls) == 2
         second = rng.normals(rng.derive_seed(51, 0, 1), 18).reshape(6, 3)
-        assert np.array_equal(obj.a, second)
+        assert np.array_equal(obj._gram, design_gram(second))
+
+    def test_rejected_gram_is_freed_before_the_next_draw(self, monkeypatch):
+        # a draw the inverse rejects leaves nothing of itself alive while
+        # the next draw is factorized
+        inv = np.linalg.inv
+        grams, rejected_alive = [], []
+
+        def singular_once(matrix):
+            grams.append(weakref.ref(matrix))
+            if len(grams) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            rejected_alive.append(grams[0]() is not None)
+            return inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_once)
+        random_pow_norm_objective(3, 6, 4, seed=51)
+        assert rejected_alive == [False]
+
+    def test_design_is_freed_before_the_factorizations(self, monkeypatch):
+        # the m-by-d draw (the only draw of m * d values) is dropped once its
+        # Gram matrix is formed: it is dead when eigvalsh and inv run, and
+        # the instance keeps no reference to it
+        d, m = 30, 70
+        normals = rng.normals
+        eigvalsh, inv = np.linalg.eigvalsh, np.linalg.inv
+        designs, design_alive = [], []
+
+        def recording_normals(seed, count):
+            out = normals(seed, count)
+            if count == m * d:
+                designs.append(weakref.ref(out))
+            return out
+
+        def checking(factorization):
+            def run(matrix):
+                design_alive.append([ref() is not None for ref in designs])
+                return factorization(matrix)
+
+            return run
+
+        monkeypatch.setattr(rng, "normals", recording_normals)
+        monkeypatch.setattr(np.linalg, "eigvalsh", checking(eigvalsh))
+        monkeypatch.setattr(np.linalg, "inv", checking(inv))
+        obj = random_pow_norm_objective(d, m, 4, seed=54, entry_std=1.0 / np.sqrt(m))
+        assert design_alive == [[False], [False]]
+        assert not hasattr(obj, "a")
+
+    @settings(max_examples=60)
+    @given(
+        d=st.integers(1, 40),
+        extra=st.integers(0, 40),
+        q=st.sampled_from([4, 6, 10]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_factorizations_are_the_design_recipe_to_the_bit(self, d, extra, q, seed):
+        # the recipe of an instance that keeps its design, on the redrawn
+        # design: A'A, then its eigenvalues, then its symmetrized inverse,
+        # redrawing as the constructor does
+        m, entry_std = d + extra, 1.0 / np.sqrt(d + extra)
+        obj = random_pow_norm_objective(d, m, q, seed, entry_std=entry_std)
+        for attempt in range(objectives._MAX_DRAWS):
+            a = rng.normals(rng.derive_seed(seed, 0, attempt), m * d).reshape(m, d)
+            a *= entry_std
+            gram = a.T @ a
+            eigs = np.linalg.eigvalsh(gram)
+            if not eigs[0] >= objectives.GRAM_POSITIVITY_FLOOR:
+                continue
+            try:
+                gram_inv = np.linalg.inv(gram)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        assert obj._gram.tobytes() == gram.tobytes()
+        assert obj._gram_inv.tobytes() == (0.5 * (gram_inv + gram_inv.T)).tobytes()
+        assert obj.condition_number == float(np.sqrt(eigs[-1] / eigs[0]))

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from qnbench import rng, solvers
 from qnbench.acceptance import replay_bfgs
 from qnbench.glmsim import draw_trial, generate_dataset, low_snr_config, scalar_moment_ratio
-from qnbench.objectives import EmpiricalGlmLoss, PowNormObjective, random_pow_norm_objective
+from qnbench.objectives import (
+    EmpiricalGlmLoss,
+    PowNormObjective,
+    design_gram,
+    random_pow_norm_objective,
+)
 from qnbench.rates import (
     contraction_sequence,
     newton_factor,
@@ -37,7 +42,7 @@ from qnbench.solvers import (
 
 
 def scalar_quartic():
-    return PowNormObjective(np.array([[1.0]]), np.array([0.0]), 4)
+    return PowNormObjective(design_gram([[1.0]]), np.array([0.0]), 4)
 
 
 def zero_opt_instance(d, q, seed, m=None):
@@ -125,7 +130,7 @@ class TestGdPolyak:
     def test_beats_tuned_constant_step_on_well_conditioned_instance(self):
         # near-orthogonal design, condition number ~ 1
         a = np.eye(10) + 0.01 * rng.normals(7, 100).reshape(10, 10)
-        obj = PowNormObjective(a, np.zeros(10), 4)
+        obj = PowNormObjective(design_gram(a), np.zeros(10), 4)
         assert obj.condition_number < 1.5
         theta0 = rng.normals(8, 10)
         polyak = run_gd_polyak(obj, theta0, 0.0, SolverConfig(max_iters=10_000))
@@ -148,7 +153,7 @@ class TestGdPolyak:
 
     def test_loss_never_increases_when_well_conditioned(self):
         a = np.eye(6) + 0.01 * rng.normals(19, 36).reshape(6, 6)
-        obj = PowNormObjective(a, np.zeros(6), 4)
+        obj = PowNormObjective(design_gram(a), np.zeros(6), 4)
         trace = run_gd_polyak(obj, rng.normals(18, 6), 0.0, SolverConfig(max_iters=200))
         assert np.all(np.diff(trace.losses) <= 0.0)
 
@@ -204,8 +209,9 @@ class TestNewton:
                 calls.append("combined")
                 return super().value_gradient_and_newton_direction(theta)
 
-        base = zero_opt_instance(4, 4, seed=36)
-        obj = Counting(base.a, base.theta_opt, 4)
+        # zero_opt_instance(4, 4, seed=36)'s design, redrawn from its stream
+        a = rng.normals(rng.derive_seed(36, 0, 0), 8 * 4).reshape(8, 4)
+        obj = Counting(design_gram(a), np.zeros(4), 4)
         trace = run_newton(obj, rng.normals(37, 4), SolverConfig(max_iters=30))
         assert len(trace) == 31
         assert calls == ["combined"] * 31
