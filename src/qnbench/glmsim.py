@@ -16,11 +16,15 @@ it with exact derivatives.
 
 ``run_trials`` is the one trial loop behind ``empirical`` and ``radius``:
 per (n, data seed) it draws the trial once and runs each method on its
-training part.  The radius sweep feeds it every (size, trial) pair and
-records the best error along each trace against theta_star.  It computes
-the radius CSV's table once, under the CSV's column names, and fits the
-log-log slope to the per-size medians that table holds — the empirical
-statistical radius.
+training part.  The trials are drawn in a forked worker process, which
+also builds each part's moment statistics and sends the trials down a
+one-way pipe, while the solvers run in the calling process on the trial
+before; patches made before the loop starts reach the worker, but their
+side effects stay there.  The radius sweep feeds it every (size, trial)
+pair and records the best error along each trace against theta_star.  It
+computes the radius CSV's table once, under the CSV's column names, and
+fits the log-log slope to the per-size medians that table holds — the
+empirical statistical radius.
 """
 
 import math
@@ -155,6 +159,11 @@ def split_train_validation(loss: EmpiricalGlmLoss):
     return train, val
 
 
+def _check_init_radius(init_radius):
+    if not 0.0 < init_radius < math.inf:
+        raise ValueError("init_radius must be positive and finite")
+
+
 def draw_trial(config: GlmModelConfig, n: int, data_seed: int, init_radius: float):
     """One GLM trial: ``(train, val, theta0)``.
 
@@ -167,8 +176,7 @@ def draw_trial(config: GlmModelConfig, n: int, data_seed: int, init_radius: floa
     as failure.  A negative ``init_radius`` would undo that, so anything
     but a positive, finite one is a ``ValueError`` before any data are drawn.
     """
-    if not 0.0 < init_radius < math.inf:
-        raise ValueError("init_radius must be positive and finite")
+    _check_init_radius(init_radius)
     train, val = split_train_validation(generate_dataset(config, n, data_seed))
     direction = rng.unit_vector(config.d, rng.derive_seed(data_seed, _STREAM_INIT))
     if float(direction @ config.theta_star) < 0:
@@ -283,6 +291,24 @@ def run_glm_method(
     return run_method(method, loss, theta0, config, NOISE_VAR, theta_ref)
 
 
+def _draw_trials(receiver, sender, config: GlmModelConfig, plan, init_radius):
+    """The body of ``run_trials``'s worker process: per plan entry, in order,
+    ``draw_trial``, then the moment statistics of each part evaluated
+    through them, then ``(train, val, theta0)`` down ``sender``.  An error
+    is sent in place of its trial and ends the worker."""
+    receiver.close()  # the parent's end; a copy held here would keep the pipe open
+    for n, data_seed in plan:
+        try:
+            trial = draw_trial(config, n, data_seed, init_radius)
+            for loss in trial[:2]:
+                if loss.uses_moments:
+                    loss.moments()
+        except Exception as err:
+            sender.send(err)
+            return
+        sender.send(trial)
+
+
 def run_trials(config: GlmModelConfig, solver: SolverConfig, plan, methods, init_radius):
     """Run ``methods`` on the GLM trials of ``plan``, a list of (n, data_seed).
 
@@ -290,19 +316,63 @@ def run_trials(config: GlmModelConfig, solver: SolverConfig, plan, methods, init
     method, in order, runs on its training part from its start through
     ``run_glm_method``, scored against theta_star.  Yields ``(n, data_seed,
     method, trace, val)`` per run, ``val`` being the trial's validation
-    part.  An empty plan or a method not in ``METHODS`` is a ``ValueError``
-    before any data are drawn.
+    part.  An empty plan, a method not in ``METHODS`` or an ``init_radius``
+    that is not positive and finite is a ``ValueError`` before any data are
+    drawn.
+
+    The trials are drawn in one worker process, forked on the first
+    ``next``, while the solvers run here on the trial before: the worker
+    also builds the moment statistics of each part evaluated through them
+    (``EmpiricalGlmLoss.moments``) and sends each trial down a one-way
+    pipe, whose blocked ``send`` keeps it at most a trial or so ahead.
+    Patches made before that ``next`` are inherited by the worker, but what
+    they record there stays there.  An error raised while drawing a trial
+    is raised here, with its type and message, once the runs of the trials
+    before it are done.  A consumer that stops early kills the worker;
+    either way it is joined before the generator ends.
     """
     if not plan:
         raise ValueError("need at least one trial")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    for n, data_seed in plan:
-        train, val, theta0 = draw_trial(config, n, data_seed, init_radius)
-        for method in methods:
-            trace = run_glm_method(method, train, theta0, solver, config.theta_star)
-            yield n, data_seed, method, trace, val
+    _check_init_radius(init_radius)
+    import multiprocessing  # here, not at the top: it slows ``import qnbench``
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    # daemonic: an exiting interpreter ends it rather than waits on a worker
+    # blocked in ``send`` for a generator that was never closed
+    worker = context.Process(
+        target=_draw_trials, args=(receiver, sender, config, plan, init_radius), daemon=True
+    )
+    worker.start()
+    sender.close()
+    finished = False
+    try:
+        for n, data_seed in plan:
+            try:
+                trial = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"the trial worker exited with code {worker.exitcode} before "
+                    f"sending the trial n={n}, data_seed={data_seed}"
+                ) from None
+            if isinstance(trial, Exception):
+                raise trial
+            train, val, theta0 = trial
+            for method in methods:
+                trace = run_glm_method(method, train, theta0, solver, config.theta_star)
+                yield n, data_seed, method, trace, val
+        finished = True
+    finally:
+        if not finished:
+            # killed, not left to meet a broken pipe: a worker forked for
+            # another live generator holds a copy of this pipe's read end
+            worker.kill()
+        receiver.close()
+        worker.join()
 
 
 def run_radius_sweep(

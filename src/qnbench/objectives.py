@@ -235,10 +235,10 @@ class EmpiricalGlmLoss:
     the polynomial ``c - 2 b'phi + phi' M phi`` in ``phi = theta^{(x)p}``,
     with ``c = mean(y**2)``, ``b = mean(y x^{(x)p})`` and
     ``M = mean(x^{(x)p} x^{(x)p}')``: O(d**(2p)) per evaluation, whatever
-    n.  The statistics are built on the first evaluation and kept.  Near
-    zero the terms cancel, so that form is clamped at zero.  Otherwise the
-    per-sample formulas (O(nd)) are used; they are also the oracle for the
-    polynomial form.
+    n.  The statistics are built by the first evaluation or call of
+    ``moments`` and kept.  Near zero the terms cancel, so that form is
+    clamped at zero.  Otherwise the per-sample formulas (O(nd)) are used;
+    they are also the oracle for the polynomial form.
     """
 
     def __init__(self, x, y, p: int):
@@ -257,9 +257,11 @@ class EmpiricalGlmLoss:
         self.n, self.d = x.shape
         self.p = int(p)
         self.uses_moments = self.d ** (2 * self.p) <= self.n * self.d
-        self._moments = None  # (c, b, M), built by the first evaluation
+        self._moments = None  # (c, b, M), built by the first call of moments
 
-    def _stats(self):
+    def moments(self):
+        """The sufficient statistics ``(c, b, M)``, built on the first call
+        and kept."""
         if self._moments is None:
             self._moments = _glm_moments(self.x, self.y, self.p)
         return self._moments
@@ -271,7 +273,7 @@ class EmpiricalGlmLoss:
         rest of the batch.  A finite row whose polynomial overflows (to
         ``inf - inf`` or ``0 * inf``) gets inf, as the per-sample sum of
         squares does."""
-        c, b, m = self._stats()
+        c, b, m = self.moments()
         rows = _kron_power(thetas, self.p)[:, None, :]
         r = (rows @ m)[:, 0] - b
         vals = np.maximum(c + (rows @ (r - b)[:, :, None])[:, 0, 0], 0.0)
@@ -301,7 +303,7 @@ class EmpiricalGlmLoss:
         theta = _as_vector(theta, self.d)
         if not self.uses_moments:
             return self._sample_value_and_gradient(theta)
-        c, b, m = self._stats()
+        c, b, m = self.moments()
         t = _kron_power(theta, self.p - 1)
         phi = (t[:, None] * theta).ravel()
         r = phi @ m - b
@@ -316,7 +318,7 @@ class EmpiricalGlmLoss:
         if not self.uses_moments:
             return self._sample_hessian(theta)
         p, d = self.p, self.d
-        _c, b, m = self._stats()
+        _c, b, m = self.moments()
         t = _kron_power(theta, p - 1)
         r = (t[:, None] * theta).ravel() @ m - b
         # M[t, ., t, .]: M contracted with t on its row and column factors

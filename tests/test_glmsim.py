@@ -1,10 +1,15 @@
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnbench
 from qnbench import rng
 from qnbench.objectives import AssumptionViolationError
 from qnbench.glmsim import (
@@ -189,13 +194,15 @@ class TestRunTrials:
         ]
 
     @pytest.mark.parametrize("methods", [["bfgs"], list(METHODS)])
-    def test_one_dataset_per_plan_entry(self, monkeypatch, methods):
+    def test_one_dataset_per_plan_entry(self, monkeypatch, tmp_path, methods):
+        # the draws happen in the worker process, so they are logged to a file
         import qnbench.glmsim as glmsim
 
-        drawn = []
+        log = tmp_path / "drawn"
 
         def keep(*args):
-            drawn.append(args[1:])
+            with open(log, "a") as handle:
+                handle.write(f"{args[1]} {args[2]}\n")
             return generate_dataset(*args)
 
         monkeypatch.setattr(glmsim, "generate_dataset", keep)
@@ -203,7 +210,57 @@ class TestRunTrials:
             low_snr_config(2, 2), SolverConfig(max_iters=5), self.PLAN, methods, 1.0
         ))
         assert len(runs) == len(self.PLAN) * len(methods)
+        drawn = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert drawn == self.PLAN
+
+    def test_draw_error_follows_the_runs_before_it(self):
+        # n = 1 cannot be split; the error comes after the first trial's runs
+        runs = run_trials(
+            low_snr_config(2, 2), SolverConfig(max_iters=5), [(60, 41), (1, 42)],
+            ["bfgs", "newton"], 1.0,
+        )
+        assert [next(runs)[:3], next(runs)[:3]] == [(60, 41, "bfgs"), (60, 41, "newton")]
+        with pytest.raises(ValueError) as raised:
+            next(runs)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "need at least two samples to split"
+
+    def test_worker_death_is_an_error(self, monkeypatch):
+        import qnbench.glmsim as glmsim
+
+        monkeypatch.setattr(glmsim, "generate_dataset", lambda *args: os._exit(3))
+        runs = run_trials(low_snr_config(2, 2), SolverConfig(), self.PLAN, ["bfgs"], 1.0)
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending the trial "
+                                               "n=60, data_seed=41"):
+            next(runs)
+
+    def test_closing_early_leaves_no_worker(self):
+        runs = run_trials(
+            low_snr_config(2, 2), SolverConfig(max_iters=5), self.PLAN * 20, ["bfgs"], 1.0
+        )
+        next(runs)
+        runs.close()
+        assert multiprocessing.active_children() == []
+
+    def test_interleaved_runs_close_without_hanging(self):
+        # the second worker is forked holding a copy of the first pipe's read
+        # end, so the first worker, blocked in a send of a trial larger than
+        # the pipe buffer, never meets a broken pipe; a fresh interpreter
+        # with a timeout keeps a hang out of this process
+        script = (
+            "from qnbench.glmsim import low_snr_config, run_trials\n"
+            "from qnbench.solvers import SolverConfig\n"
+            "plan = [(3000, seed) for seed in range(40)]\n"
+            "a, b = (run_trials(low_snr_config(4, 2), SolverConfig(max_iters=5), plan,"
+            " ['bfgs'], 1.0) for _ in range(2))\n"
+            "next(a); next(b); a.close(); b.close()\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qnbench.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("high_snr", [False, True])
