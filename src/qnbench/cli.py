@@ -23,7 +23,9 @@ error, 3 I/O error, 4 assumption violation after retries.
 
 import argparse
 import csv
+import errno
 import functools
+import itertools
 import math
 import os
 import re
@@ -113,7 +115,8 @@ def _one_line(what, text):
 def _resolve(args, spec):
     """Merge flag values, config-file values, and defaults, in that order.
 
-    Text values, and ``QNBENCH_OUT_DIR``, must not contain a line break.
+    Text values, and ``QNBENCH_OUT_DIR``, must not contain a line break,
+    and the directory of ``--out`` must exist.
     """
     _one_line(ENV_OUT_DIR, os.environ.get(ENV_OUT_DIR, ""))
     file_values = {}
@@ -133,6 +136,10 @@ def _resolve(args, spec):
             values = [resolved[name]] if kind == "str" else resolved[name]
             for value in values:
                 _one_line(f"--{name}", value)
+    if "out" in resolved:
+        directory = _out_path(resolved["out"]).parent
+        if not directory.is_dir():  # fail before any computation
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(directory))
     return resolved
 
 
@@ -199,17 +206,21 @@ def _write_csv(path: Path, header, blocks):
 
 def _write_manifest(out: Path, command: str, params: dict, extras: dict | None = None):
     lines = [f"command={command}", f"tool_version={__version__}"]
-    for key, value in params.items():
-        if isinstance(value, list):
-            value = ",".join(_fmt(v) for v in value)
-        else:
-            value = _fmt(value)
-        lines.append(f"{key}={value}")
-    for key, value in (extras or {}).items():
-        lines.append(f"{key}={_fmt(value)}")
+    # chained, not merged: a merge would drop a params line on a key collision
+    for key, value in itertools.chain(params.items(), (extras or {}).items()):
+        text = ",".join(map(_fmt, value)) if isinstance(value, list) else _fmt(value)
+        lines.append(f"{key}={text}")
     lines.append(f"artifact={out}")
-    manifest = Path(str(out) + ".manifest")
-    manifest.write_text("\n".join(lines) + "\n")
+    Path(str(out) + ".manifest").write_text("\n".join(lines) + "\n")
+
+
+def _write_outputs(params, command, header, blocks, extras=None) -> int:
+    """The one writer of every table command, called after its last run:
+    the CSV at ``--out`` (resolved by ``_out_path``), then its manifest."""
+    out = _out_path(params["out"])
+    _write_csv(out, header, blocks)
+    _write_manifest(out, command, params, extras)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- factors
@@ -218,13 +229,11 @@ FACTORS_SPEC = [("q", "int", 4), ("k-max", "int", 40), ("out", "str", "factors.c
 
 
 def cmd_factors(params) -> int:
-    out = _out_path(params["out"])
     rows = contraction_gap_table(params["q"], params["k-max"])
-    _write_csv(
-        out, ["k", "factor", "fixed_point", "abs_gap", "envelope"], [list(zip(*rows))]
+    return _write_outputs(
+        params, "factors", ["k", "factor", "fixed_point", "abs_gap", "envelope"],
+        [list(zip(*rows))],
     )
-    _write_manifest(out, "factors", params)
-    return EXIT_OK
 
 
 # ------------------------------------------------------------- population
@@ -295,15 +304,10 @@ def cmd_population(params) -> int:
             shrink *= factors[k]
     blocks.append([["bfgs-theory"] * n, np.arange(n), errors, losses, grad_norms])
 
-    out = _out_path(params["out"])
-    _write_csv(out, ["method", "k", "error_norm", "loss", "grad_norm"], blocks)
-    _write_manifest(
-        out,
-        "population",
-        params,
+    return _write_outputs(
+        params, "population", ["method", "k", "error_norm", "loss", "grad_norm"], blocks,
         extras={"condition_number": objective.condition_number},
     )
-    return EXIT_OK
 
 
 # -------------------------------------------------------------- empirical
@@ -356,18 +360,13 @@ def cmd_empirical(params) -> int:
             [[method] * n, np.full(n, trial), np.arange(n), trace.errors,
              trace.losses, choice.losses, flags]
         )
-    out = _out_path(params["out"])
-    _write_csv(
-        out,
+    return _write_outputs(
+        params, "empirical",
         ["method", "trial", "k", "error_to_theta_star", "train_loss", "val_loss",
          "early_stop_flag"],
         blocks,
-    )
-    _write_manifest(
-        out, "empirical", params,
         extras={"interrupted_runs": ";".join(interrupted) or "none"},
     )
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------- radius
@@ -402,23 +401,15 @@ def cmd_radius(params) -> int:
         method=params["method"],
     )
     footer = ["slope", result.fitted_slope, result.slope_stderr, "", ""]
-    out = _out_path(params["out"])
-    _write_csv(
-        out,
-        list(result.table),
+    return _write_outputs(
+        params, "radius", list(result.table),
         [list(result.table.values()), [[cell] for cell in footer]],
-    )
-    _write_manifest(
-        out,
-        "radius",
-        params,
         extras={
             "fitted_slope": result.fitted_slope,
             "slope_stderr": result.slope_stderr,
             "flagged_trials": result.flagged_trials,
         },
     )
-    return EXIT_OK
 
 
 # -------------------------------------------------------------------- svg

@@ -245,7 +245,7 @@ class EmpiricalGlmLoss:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if x.ndim != 2 or x.shape[0] < 1:
+        if x.ndim != 2 or 0 in x.shape:
             raise ValueError("x must be a non-empty (n, d) array")
         y = np.asarray(y, dtype=float)
         if y.shape != (x.shape[0],):

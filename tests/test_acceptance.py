@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from qnbench import acceptance, rng, solvers
-from qnbench.glmsim import generate_dataset, low_snr_config
-from qnbench.solvers import SolverConfig, run_bfgs, run_gd_constant, run_scalar_bfgs
+from qnbench.glmsim import generate_dataset, low_snr_config, run_glm_method
+from qnbench.solvers import SolverConfig, run_bfgs
 
 
 def show(number, text, ok, elapsed):
@@ -68,17 +68,18 @@ def test_criterion_10_iteration_contrast():
     def contrast():
         config = low_snr_config(1, 2)
         steps = [10.0 ** -k for k in range(1, 7)]
+        start = np.array([1.0])
         bfgs_iters, gd_iters = [], []
         for s in range(11):
             loss = generate_dataset(config, 10_000, rng.derive_seed(900, s))
-            trace = run_scalar_bfgs(loss, 0.999, 1.0, SolverConfig(max_iters=200))
+            trace = run_glm_method("bfgs", loss, start, SolverConfig(max_iters=200), 0.0)
             threshold = 1.5 * trace.min_error
             bfgs_iters.append(int(np.argmax(trace.errors <= threshold)))
             best = None
             for step in steps:
-                gd = run_gd_constant(
-                    loss, np.array([1.0]),
-                    SolverConfig(step_size=step, max_iters=10_000), np.zeros(1),
+                gd = run_glm_method(
+                    "gd-constant", loss, start,
+                    SolverConfig(step_size=step, max_iters=10_000), 0.0,
                 )
                 hits = np.nonzero(gd.errors <= threshold)[0]
                 k = int(hits[0]) if hits.size else 10_001

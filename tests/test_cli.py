@@ -507,23 +507,30 @@ class TestCsvRendering:
             ["n", "median_min_error", "q25", "q75", "median_iters_to_min"], rows
         )
 
-    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
-        real = qnbench.glmsim.run_glm_method
+    @pytest.mark.parametrize("argv,module,name,fail_at", [
+        pytest.param(("population", "--q", 4, "--d", 3, "--m", 6, "--iters", 25),
+                     qnbench.cli, "run_method", 3, id="population"),
+        pytest.param(("empirical", "--n", 200, "--trials", 2, "--iters", 10),
+                     qnbench.glmsim, "run_glm_method", 3, id="empirical"),
+        # the second of three sizes, mid-sweep
+        pytest.param(("radius", "--n-grid", "50,100,200", "--trials", 3,
+                      "--max-iters", 20),
+                     qnbench.glmsim, "run_glm_method", 5, id="radius"),
+    ])
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, argv, module, name,
+                                         fail_at):
+        real = getattr(module, name)
         calls = []
 
-        def fail_third(*args, **kwargs):
+        def failing(*args, **kwargs):
             calls.append(args[0])
-            if len(calls) == 3:
-                raise ValueError("third run fails")
+            if len(calls) == fail_at:
+                raise ValueError("a run fails")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qnbench.glmsim, "run_glm_method", fail_third)
-        code = run_cli(
-            "empirical", "--n", 200, "--trials", 2, "--iters", 10,
-            "--out", tmp_path / "empirical.csv",
-        )
-        assert code == 2
-        assert len(calls) == 3
+        monkeypatch.setattr(module, name, failing)
+        assert run_cli(*argv, "--out", tmp_path / "out.csv") == 2
+        assert len(calls) == fail_at
         assert list(tmp_path.iterdir()) == []
 
 
@@ -565,6 +572,12 @@ class TestPinnedOutputs:
         ]
 
     @pytest.mark.parametrize("argv,csv_digest,manifest_digest", [
+        pytest.param(
+            ("factors", "--q", 6, "--k-max", 30),
+            "8dcd6bce498b9c9a4d4840ffddcaef34917faf19f8b0b17d0ac2a578a799ec48",
+            "614606a2ac12054be19831407f6c9401d15bf776f7de9a8a5decbe0b0c80cddd",
+            id="factors-q6",
+        ),
         pytest.param(
             (*EMPIRICAL, "--regime", "low-snr"),
             "ed0c51ce64f4bdda4f979bd92faca91875cf4f71a1bd0f85e4b4fa38db3948a1",
@@ -831,6 +844,29 @@ class TestOutputDirEnv:
         out = tmp_path / "direct.csv"
         assert run_cli("factors", "--k-max", 5, "--out", out) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("argv,module,name,via_env", [
+        pytest.param(("radius", "--n-grid", "50,100,200", "--trials", 2),
+                     qnbench.glmsim, "run_glm_method", True, id="radius"),
+        pytest.param(("population", "--preset", "d10-q4"),
+                     qnbench.cli, "run_method", False, id="population"),
+    ])
+    def test_missing_directory_fails_before_any_run(
+        self, tmp_path, monkeypatch, capsys, argv, module, name, via_env
+    ):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output directory was checked")
+
+        monkeypatch.setattr(module, name, run)
+        missing = tmp_path / "no" / "such"
+        if via_env:
+            monkeypatch.setenv("QNBENCH_OUT_DIR", str(missing))
+            out = "out.csv"
+        else:
+            out = missing / "out.csv"
+        assert run_cli(*argv, "--out", out) == 3
+        assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # Runs one small call of every data command, and selfcheck, in the same

@@ -339,6 +339,12 @@ class TestEmpiricalGlmLoss:
         with pytest.raises(ValueError):
             EmpiricalGlmLoss(np.ones((3, 1)), np.ones(3), 1)
 
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 2), (0,)],
+                             ids=["no-columns", "no-rows", "empty-vector"])
+    def test_rejects_design_with_no_entries(self, shape):
+        with pytest.raises(ValueError, match=r"non-empty \(n, d\) array"):
+            EmpiricalGlmLoss(np.zeros(shape), np.ones(shape[0]), 2)
+
 
 def max_relative_gap(got, oracle):
     got, oracle = np.asarray(got), np.asarray(oracle)
