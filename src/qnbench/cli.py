@@ -27,6 +27,7 @@ import errno
 import functools
 import itertools
 import math
+import operator
 import os
 import re
 import sys
@@ -116,7 +117,7 @@ def _resolve(args, spec):
     """Merge flag values, config-file values, and defaults, in that order.
 
     Text values, and ``QNBENCH_OUT_DIR``, must not contain a line break,
-    and the directory of ``--out`` must exist.
+    ``--out`` must not name a directory, and its directory must exist.
     """
     _one_line(ENV_OUT_DIR, os.environ.get(ENV_OUT_DIR, ""))
     file_values = {}
@@ -136,10 +137,13 @@ def _resolve(args, spec):
             values = [resolved[name]] if kind == "str" else resolved[name]
             for value in values:
                 _one_line(f"--{name}", value)
-    if "out" in resolved:
-        directory = _out_path(resolved["out"]).parent
-        if not directory.is_dir():  # fail before any computation
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(directory))
+    if "out" in resolved:  # fail before any computation
+        out = _out_path(resolved["out"])
+        if out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+        if not out.parent.is_dir():
+            code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(out.parent))
     return resolved
 
 
@@ -204,22 +208,48 @@ def _write_csv(path: Path, header, blocks):
             handle.write("\n".join(rows))
 
 
-def _write_manifest(out: Path, command: str, params: dict, extras: dict | None = None):
+def _manifest(out: Path, command: str, params: dict, extras: dict | None = None) -> str:
     lines = [f"command={command}", f"tool_version={__version__}"]
     # chained, not merged: a merge would drop a params line on a key collision
     for key, value in itertools.chain(params.items(), (extras or {}).items()):
         text = ",".join(map(_fmt, value)) if isinstance(value, list) else _fmt(value)
         lines.append(f"{key}={text}")
     lines.append(f"artifact={out}")
-    Path(str(out) + ".manifest").write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _publish(out: Path, write_artifact, manifest: str):
+    """Write the artifact, by ``write_artifact(path)``, and ``manifest``
+    under ``.tmp`` names beside ``out`` and ``<out>.manifest``; once both
+    are written, rename the manifest into place, then the artifact.  On
+    any failure, remove whatever this call created: its temporary files,
+    and the manifest if it was already renamed."""
+    final = [Path(f"{out}.manifest"), out]
+    temporary = [Path(f"{path}.tmp") for path in final]
+    created = []
+    try:
+        for path in temporary:
+            open(path, "x").close()  # never a name this call did not create
+            created.append(path)
+        temporary[0].write_text(manifest)
+        write_artifact(temporary[1])
+        for source, target in zip(temporary, final):
+            os.replace(source, target)
+            created.append(target)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _write_outputs(params, command, header, blocks, extras=None) -> int:
     """The one writer of every table command, called after its last run:
-    the CSV at ``--out`` (resolved by ``_out_path``), then its manifest."""
+    the CSV at ``--out`` (resolved by ``_out_path``) and its manifest."""
     out = _out_path(params["out"])
-    _write_csv(out, header, blocks)
-    _write_manifest(out, command, params, extras)
+    _publish(
+        out, lambda path: _write_csv(path, header, blocks),
+        _manifest(out, command, params, extras),
+    )
     return EXIT_OK
 
 
@@ -249,22 +279,18 @@ POPULATION_SPEC = [
     ("out", "str", "population.csv"),
 ]
 
-POPULATION_DEFAULTS = POPULATION_PRESETS["d10-q4"]
-
 
 def _written_columns(trace):
     return trace.errors, trace.losses, trace.grad_norms
 
 
 def cmd_population(params) -> int:
-    preset = dict(POPULATION_DEFAULTS)
-    if params["preset"]:
-        if params["preset"] not in POPULATION_PRESETS:
-            raise ValueError(
-                f"unknown preset {params['preset']!r}; choose from "
-                f"{sorted(POPULATION_PRESETS)}"
-            )
-        preset = dict(POPULATION_PRESETS[params["preset"]])
+    preset = POPULATION_PRESETS.get(params["preset"] or "d10-q4")
+    if preset is None:
+        raise ValueError(
+            f"unknown preset {params['preset']!r}; choose from "
+            f"{sorted(POPULATION_PRESETS)}"
+        )
     for key in ("q", "d", "m", "step"):
         if params[key] is None:
             params[key] = preset[key]
@@ -285,25 +311,20 @@ def cmd_population(params) -> int:
         method: _written_columns(run_method(method, objective, theta0, config))
         for method in METHODS
     }
-
+    # exact theoretical BFGS overlay: the error shrinks by 1, r_0, r_0 r_1, ...
+    # from the BFGS run's first record, the loss by their q-th powers and
+    # the gradient norm by their (q-1)-th
+    n = len(columns["bfgs"][0])
+    factors = contraction_sequence(q, n - 1).factors[: n - 1]
+    shrinks = list(itertools.accumulate(factors, operator.mul, initial=1.0))
+    columns["bfgs-theory"] = tuple(
+        [column[0] * s ** power for s in shrinks]
+        for column, power in zip(columns["bfgs"], (1, q, q - 1))
+    )
     blocks = [
         [[method] * len(errors), np.arange(len(errors)), errors, losses, grad_norms]
         for method, (errors, losses, grad_norms) in columns.items()
     ]
-    # exact theoretical BFGS overlay: same starting error, factors r_k
-    err, loss0, grad0 = (column[0] for column in columns["bfgs"])
-    n = len(columns["bfgs"][0])
-    factors = contraction_sequence(q, max(n - 1, 1)).factors
-    errors, losses, grad_norms = [], [], []
-    shrink = 1.0
-    for k in range(n):
-        errors.append(err * shrink)
-        losses.append(loss0 * shrink ** q)
-        grad_norms.append(grad0 * shrink ** (q - 1))
-        if k < len(factors):
-            shrink *= factors[k]
-    blocks.append([["bfgs-theory"] * n, np.arange(n), errors, losses, grad_norms])
-
     return _write_outputs(
         params, "population", ["method", "k", "error_norm", "loss", "grad_norm"], blocks,
         extras={"condition_number": objective.condition_number},
@@ -486,8 +507,7 @@ def cmd_svg(params) -> int:
         source_comment=f"{params['in']}.manifest",
     )
     out = _out_path(params["out"])
-    out.write_text(document)
-    _write_manifest(out, "svg", params)
+    _publish(out, lambda path: path.write_text(document), _manifest(out, "svg", params))
     return EXIT_OK
 
 

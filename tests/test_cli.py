@@ -48,6 +48,14 @@ def assert_refused(tmp_path, *args):
     assert list(tmp_path.iterdir()) == []
 
 
+def tree(path):
+    """Every entry under ``path``, with its bytes (``None`` for a directory)."""
+    return {
+        entry.relative_to(path): None if entry.is_dir() else entry.read_bytes()
+        for entry in path.rglob("*")
+    }
+
+
 class TestFactorsCommand:
     def test_basic_run(self, tmp_path):
         out = tmp_path / "factors.csv"
@@ -154,6 +162,21 @@ class TestPopulationCommand:
         assert "q=10" in manifest
         assert "m=100" in manifest
         assert "condition_number=" in manifest
+
+    def test_no_preset_is_d10_q4(self, tmp_path):
+        out = tmp_path / "population.csv"
+        written = []
+        for preset in ((), ("--preset", "d10-q4")):
+            assert run_cli("population", *preset, "--iters", 60, "--seed", 11,
+                           "--out", out) == 0
+            written.append((out.read_bytes(), Path(f"{out}.manifest").read_text()))
+        (csv_bare, manifest_bare), (csv_named, manifest_named) = written
+        assert csv_bare == csv_named
+        lines = list(zip(manifest_bare.splitlines(), manifest_named.splitlines(),
+                         strict=True))
+        assert [pair for pair in lines if pair[0] != pair[1]] == [
+            ("preset=", "preset=d10-q4")
+        ]
 
     def test_rejects_wide_design(self, tmp_path):
         assert run_cli("population", "--d", 10, "--m", 5, "--out", tmp_path / "x.csv") == 2
@@ -446,24 +469,24 @@ class TestCsvRendering:
             contraction_gap_table(6, 12),
         )
 
-    def test_population_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv,q", [
+        pytest.param(("--q", 4, "--d", 3, "--m", 6, "--iters", 25, "--seed", 2), 4, id="q4"),
+        pytest.param(("--preset", "d10-q10", "--iters", 40), 10, id="q10"),
+    ])
+    def test_population_file(self, tmp_path, monkeypatch, argv, q):
         calls = record_calls(monkeypatch, "run_method")
         out = tmp_path / "population.csv"
-        code = run_cli(
-            "population", "--q", 4, "--d", 3, "--m", 6, "--iters", 25, "--seed", 2,
-            "--out", out,
-        )
-        assert code == 0
+        assert run_cli("population", *argv, "--out", out) == 0
         runs = {args[0]: trace for args, trace in calls}
         assert list(runs) == list(METHODS)
         rows = [(method, k, trace.errors[k], trace.losses[k], trace.grad_norms[k])
                 for method, trace in runs.items() for k in range(len(trace))]
         bfgs = runs["bfgs"]
-        factors = contraction_sequence(4, max(len(bfgs) - 1, 1)).factors
+        factors = contraction_sequence(q, max(len(bfgs) - 1, 1)).factors
         shrink = 1.0
         for k in range(len(bfgs)):
             rows.append(("bfgs-theory", k, bfgs.errors[0] * shrink,
-                         bfgs.losses[0] * shrink ** 4, bfgs.grad_norms[0] * shrink ** 3))
+                         bfgs.losses[0] * shrink ** q, bfgs.grad_norms[0] * shrink ** (q - 1)))
             if k < len(factors):
                 shrink *= factors[k]
         assert out.read_bytes() == reference_csv(
@@ -845,28 +868,61 @@ class TestOutputDirEnv:
         assert run_cli("factors", "--k-max", 5, "--out", out) == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("argv,module,name,via_env", [
+    @pytest.mark.parametrize("argv,module,name,out_dir,out,named,error", [
         pytest.param(("radius", "--n-grid", "50,100,200", "--trials", 2),
-                     qnbench.glmsim, "run_glm_method", True, id="radius"),
+                     qnbench.glmsim, "run_glm_method", "no/such", "out.csv", "no/such",
+                     "No such file or directory", id="radius"),
         pytest.param(("population", "--preset", "d10-q4"),
-                     qnbench.cli, "run_method", False, id="population"),
+                     qnbench.cli, "run_method", None, "no/such/out.csv", "no/such",
+                     "No such file or directory", id="population"),
+        pytest.param(("radius", "--n-grid", "50,100,200", "--trials", 2),
+                     qnbench.glmsim, "run_glm_method", None, "isdir", "isdir",
+                     "Is a directory", id="out-is-a-directory"),
+        pytest.param(("population", "--preset", "d10-q4"),
+                     qnbench.cli, "run_method", "afile", "out.csv", "afile",
+                     "Not a directory", id="out-dir-is-a-file"),
     ])
     def test_missing_directory_fails_before_any_run(
-        self, tmp_path, monkeypatch, capsys, argv, module, name, via_env
+        self, tmp_path, monkeypatch, capsys, argv, module, name, out_dir, out, named, error
     ):
         def run(*args, **kwargs):
-            raise AssertionError(f"{name} ran before the output directory was checked")
+            raise AssertionError(f"{name} ran before the output path was checked")
 
         monkeypatch.setattr(module, name, run)
-        missing = tmp_path / "no" / "such"
-        if via_env:
-            monkeypatch.setenv("QNBENCH_OUT_DIR", str(missing))
-            out = "out.csv"
+        (tmp_path / "isdir").mkdir()
+        (tmp_path / "afile").write_text("")
+        before = tree(tmp_path)
+        if out_dir:  # a relative --out resolves through QNBENCH_OUT_DIR
+            monkeypatch.setenv("QNBENCH_OUT_DIR", str(tmp_path / out_dir))
         else:
-            out = missing / "out.csv"
+            out = tmp_path / out
         assert run_cli(*argv, "--out", out) == 3
-        assert str(missing) in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert f"{error}: {str(tmp_path / named)!r}" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("blocker,is_dir", [
+        pytest.param("{}.manifest", True, id="manifest-is-a-directory"),
+        pytest.param("{}.tmp", False, id="temporary-name-taken"),
+    ])
+    @pytest.mark.parametrize("argv,out", [
+        pytest.param(("factors", "--k-max", 3), "out.csv", id="factors"),
+        pytest.param(("svg", "--in", "data.csv", "--x-col", "x", "--y-cols", "y"), "out.svg",
+                     id="svg"),
+    ])
+    def test_failed_write_leaves_directory_as_it_was(
+        self, tmp_path, monkeypatch, capsys, argv, out, blocker, is_dir
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("x,y\n0,1\n1,2\n")
+        blocker = tmp_path / blocker.format(out)
+        if is_dir:
+            blocker.mkdir()
+        else:
+            blocker.write_text("not this command's file")
+        before = tree(tmp_path)
+        assert run_cli(*argv, "--out", out) == 3
+        assert blocker.name in capsys.readouterr().err
+        assert tree(tmp_path) == before
 
 
 # Runs one small call of every data command, and selfcheck, in the same
