@@ -450,7 +450,8 @@ SVG_SPEC = [
 def _read_numeric_csv(path, x_col, y_cols, group_col=""):
     """Parse columns into {series name: [(x, y, row_number)]}; the row
     number (header = row 1) feeds error messages.  A row with an empty or
-    non-finite cell in a plotted column is skipped."""
+    non-finite cell in a plotted column is skipped, and a last row whose
+    first cell is ``slope`` (the radius CSV's footer) ends the data."""
     series = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -462,7 +463,10 @@ def _read_numeric_csv(path, x_col, y_cols, group_col=""):
         for col in [x_col, *y_cols] + ([group_col] if group_col else []):
             if col not in index:
                 raise ValueError(f"row 1: no column named {col!r}")
-        for rownum, record in enumerate(reader, 2):
+        records = list(enumerate(reader, 2))
+        if records and records[-1][1][:1] == ["slope"]:
+            records.pop()
+        for rownum, record in records:
             if len(record) != len(header):
                 raise ValueError(
                     f"row {rownum}: expected {len(header)} cells, got {len(record)}"

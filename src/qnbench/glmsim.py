@@ -17,14 +17,15 @@ it with exact derivatives.
 ``run_trials`` is the one trial loop behind ``empirical`` and ``radius``:
 per (n, data seed) it draws the trial once and runs each method on its
 training part.  The trials are drawn in a forked worker process, which
-also builds each part's moment statistics and sends the trials down a
-one-way pipe, while the solvers run in the calling process on the trial
-before; patches made before the loop starts reach the worker, but their
-side effects stay there.  The radius sweep feeds it every (size, trial)
-pair and records the best error along each trace against theta_star.  It
-computes the radius CSV's table once, under the CSV's column names, and
-fits the log-log slope to the per-size medians that table holds — the
-empirical statistical radius.
+sends each part that evaluates through its moment statistics as those
+statistics alone, down a one-way pipe grown to ``_PIPE_BYTES``, while the
+solvers run in the calling process on the trials before; patches made
+before the loop starts reach the worker, but their side effects stay
+there.  The radius sweep feeds it every (size, trial) pair and records the
+best error along each trace against theta_star.  It computes the radius
+CSV's table once, under the CSV's column names, and fits the log-log slope
+to the per-size medians that table holds — the empirical statistical
+radius.
 """
 
 import math
@@ -152,10 +153,11 @@ def split_train_validation(loss: EmpiricalGlmLoss):
     for training (data are i.i.d., no shuffle needed)."""
     if loss.n < 2:
         raise ValueError("need at least two samples to split")
+    x, y = loss.samples()
     n_train = int(round(_TRAIN_FRACTION * loss.n))
     n_train = min(max(n_train, 1), loss.n - 1)
-    train = EmpiricalGlmLoss(loss.x[:n_train], loss.y[:n_train], loss.p)
-    val = EmpiricalGlmLoss(loss.x[n_train:], loss.y[n_train:], loss.p)
+    train = EmpiricalGlmLoss(x[:n_train], y[:n_train], loss.p)
+    val = EmpiricalGlmLoss(x[n_train:], y[n_train:], loss.p)
     return train, val
 
 
@@ -189,11 +191,12 @@ def scalar_moment_ratio(loss: EmpiricalGlmLoss) -> float:
     stationary point of the scalar loss (may be negative under noise)."""
     if loss.d != 1:
         raise ValueError("scalar_moment_ratio needs a one-dimensional loss")
-    x = loss.x[:, 0]
+    x, y = loss.samples()
+    x = x[:, 0]
     denom = float(np.sum(x ** (2 * loss.p)))
     if denom <= 0.0:
         raise ValueError("all features are zero; the loss is constant")
-    return float(np.sum(loss.y * x ** loss.p)) / denom
+    return float(np.sum(y * x ** loss.p)) / denom
 
 
 @dataclass(frozen=True)
@@ -291,18 +294,41 @@ def run_glm_method(
     return run_method(method, loss, theta0, config, NOISE_VAR, theta_ref)
 
 
+# Capacity asked of the pipe that carries ``run_trials``'s trials (Linux's
+# F_SETPIPE_SZ; the default is 64 KiB).  The worker runs ahead of the
+# solvers until this many bytes wait unread: about 200 trials sent as
+# statistics at d = 4, p = 2, and about one trial where a trial (a large
+# per-sample one, say) outgrows the pipe.  1 MiB is also Linux's default
+# cap for an unprivileged process (/proc/sys/fs/pipe-max-size).
+_PIPE_BYTES = 1 << 20
+
+
+def _grow_pipe(connection):
+    """Ask for a ``_PIPE_BYTES`` pipe behind ``connection``; where the call is
+    missing (not Linux) or refused, the pipe keeps its size."""
+    import fcntl  # here, not at the top: POSIX only
+
+    try:
+        fcntl.fcntl(connection.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass
+
+
 def _draw_trials(receiver, sender, config: GlmModelConfig, plan, init_radius):
     """The body of ``run_trials``'s worker process: per plan entry, in order,
-    ``draw_trial``, then the moment statistics of each part evaluated
-    through them, then ``(train, val, theta0)`` down ``sender``.  An error
-    is sent in place of its trial and ends the worker."""
+    ``draw_trial``, then ``(train, val, theta0)`` down ``sender``, each part
+    that evaluates through its moment statistics sent as those statistics
+    alone (``EmpiricalGlmLoss.from_moments``).  An error is sent in place of
+    its trial and ends the worker."""
     receiver.close()  # the parent's end; a copy held here would keep the pipe open
     for n, data_seed in plan:
         try:
-            trial = draw_trial(config, n, data_seed, init_radius)
-            for loss in trial[:2]:
-                if loss.uses_moments:
-                    loss.moments()
+            *parts, theta0 = draw_trial(config, n, data_seed, init_radius)
+            trial = [
+                EmpiricalGlmLoss.from_moments(part.n, part.d, part.p, part.moments())
+                if part.uses_moments else part
+                for part in parts
+            ] + [theta0]
         except Exception as err:
             sender.send(err)
             return
@@ -321,10 +347,14 @@ def run_trials(config: GlmModelConfig, solver: SolverConfig, plan, methods, init
     drawn.
 
     The trials are drawn in one worker process, forked on the first
-    ``next``, while the solvers run here on the trial before: the worker
-    also builds the moment statistics of each part evaluated through them
-    (``EmpiricalGlmLoss.moments``) and sends each trial down a one-way
-    pipe, whose blocked ``send`` keeps it at most a trial or so ahead.
+    ``next``, while the solvers run here on the trials before.  The worker
+    sends each trial down a one-way pipe, each part that evaluates through
+    its moment statistics as those alone (``EmpiricalGlmLoss.from_moments``;
+    its ``x`` and ``y`` are None, and ``val`` may be such a part), the rest
+    with their samples.  It runs ahead until the pipe is full: the pipe is
+    grown to ``_PIPE_BYTES`` where the system allows (about 200 trials of
+    statistics at d = 4, p = 2, about one trial where a trial outgrows it)
+    and keeps its default 64 KiB elsewhere.
     Patches made before that ``next`` are inherited by the worker, but what
     they record there stays there.  An error raised while drawing a trial
     is raised here, with its type and message, once the runs of the trials
@@ -341,6 +371,7 @@ def run_trials(config: GlmModelConfig, solver: SolverConfig, plan, methods, init
 
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
+    _grow_pipe(receiver)
     # daemonic: an exiting interpreter ends it rather than waits on a worker
     # blocked in ``send`` for a generator that was never closed
     worker = context.Process(

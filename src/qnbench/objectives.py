@@ -55,6 +55,12 @@ def _as_vector(theta, d, name="theta"):
     return theta
 
 
+def _link_power(p) -> int:
+    if not (isinstance(p, (int, np.integer)) and p >= 2):
+        raise ValueError(f"link power p must be an integer >= 2, got {p!r}")
+    return int(p)
+
+
 def _kron_power(a, k: int) -> np.ndarray:
     """Row-wise Kronecker power ``a^{(x)k}`` (k >= 1) over the last axis of
     ``a``: shape (..., d) becomes (..., d**k), the last factor's index
@@ -250,14 +256,47 @@ class EmpiricalGlmLoss:
         y = np.asarray(y, dtype=float)
         if y.shape != (x.shape[0],):
             raise ValueError("y must be a vector with one entry per row of x")
-        if not (isinstance(p, (int, np.integer)) and p >= 2):
-            raise ValueError(f"link power p must be an integer >= 2, got {p!r}")
         self.x = x
         self.y = y
         self.n, self.d = x.shape
-        self.p = int(p)
+        self.p = _link_power(p)
         self.uses_moments = self.d ** (2 * self.p) <= self.n * self.d
         self._moments = None  # (c, b, M), built by the first call of moments
+
+    @classmethod
+    def from_moments(cls, n: int, d: int, p: int, moments):
+        """A loss of n samples in d dimensions held as its sufficient
+        statistics ``(c, b, M)`` alone, as ``moments()`` returns them; its
+        ``x`` and ``y`` are None.
+
+        It evaluates through the statistics whatever n, and the arrays are
+        kept, not copied, so a loss built from another's ``moments()``
+        evaluates to the same bits wherever that one ``uses_moments``.
+        Whatever needs the samples (``samples``, the per-sample formulas) is
+        a ``ValueError``.
+        """
+        loss = cls.__new__(cls)
+        loss.x = loss.y = None
+        loss.n, loss.d, loss.p = int(n), int(d), _link_power(p)
+        c, b, m = moments
+        size = loss.d ** loss.p
+        if not (n >= 1 and d >= 1 and np.shape(b) == (size,) and np.shape(m) == (size, size)):
+            raise ValueError(
+                f"moments of {n} samples in {d} dimensions need n, d >= 1, "
+                f"b of length d**p = {size} and M of shape ({size}, {size})"
+            )
+        loss.uses_moments = True
+        loss._moments = (c, b, m)
+        return loss
+
+    def samples(self):
+        """The samples ``(x, y)``; a ``ValueError`` for a loss built
+        ``from_moments``, which holds none."""
+        if self.x is None:
+            raise ValueError(
+                "this loss holds only its moment statistics, not its samples x and y"
+            )
+        return self.x, self.y
 
     def moments(self):
         """The sufficient statistics ``(c, b, M)``, built on the first call
@@ -332,21 +371,24 @@ class EmpiricalGlmLoss:
     # Per-sample formulas, O(nd) per evaluation.
 
     def _sample_value(self, theta) -> float:
-        z = self.x @ theta
-        return float(np.mean((self.y - z ** self.p) ** 2))
+        x, y = self.samples()
+        z = x @ theta
+        return float(np.mean((y - z ** self.p) ** 2))
 
     def _sample_value_and_gradient(self, theta):
         p = self.p
-        z = self.x @ theta
-        miss = self.y - z ** p
-        grad = (-2.0 * p / self.n) * (self.x.T @ (miss * z ** (p - 1)))
+        x, y = self.samples()
+        z = x @ theta
+        miss = y - z ** p
+        grad = (-2.0 * p / self.n) * (x.T @ (miss * z ** (p - 1)))
         return float(np.mean(miss ** 2)), grad
 
     def _sample_hessian(self, theta) -> np.ndarray:
         p = self.p
-        z = self.x @ theta
-        w = p * z ** (2 * p - 2) - (p - 1) * (self.y - z ** p) * z ** (p - 2)
-        return (2.0 * p / self.n) * (self.x.T @ (self.x * w[:, None]))
+        x, y = self.samples()
+        z = x @ theta
+        w = p * z ** (2 * p - 2) - (p - 1) * (y - z ** p) * z ** (p - 2)
+        return (2.0 * p / self.n) * (x.T @ (x * w[:, None]))
 
 
 def central_difference_gradient(func, theta, step: float = FD_STEP) -> np.ndarray:

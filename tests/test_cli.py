@@ -724,6 +724,32 @@ class TestSvgCommand:
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_radius_footer_ends_the_data(self, tmp_path):
+        table = tmp_path / "radius.csv"
+        code = run_cli(
+            "radius", "--n-grid", "100,300,1000", "--trials", 3, "--seed", 5, "--out", table,
+        )
+        assert code == 0
+        assert read_csv(table)[1][-1][0] == "slope"
+        out = tmp_path / "radius.svg"
+        code = run_cli(
+            "svg", "--in", table, "--x-col", "n", "--y-cols", "median_min_error",
+            "--log-x", "--log-y", "--out", out,
+        )
+        assert code == 0
+        points = out.read_text().split('points="')[1].split('"')[0]
+        assert len(points.split()) == 3
+
+    def test_footer_before_the_last_row_is_not_numeric(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        self.write_csv(data, [(1, 2), ("slope", 3), (4, 5)])
+        code = run_cli(
+            "svg", "--in", data, "--x-col", "x", "--y-cols", "y",
+            "--out", tmp_path / "c.svg",
+        )
+        assert code == 2
+        assert "row 3: cell 'slope' in column 'x' is not numeric" in capsys.readouterr().err
+
     def test_missing_column_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         self.write_csv(data, [(1, 2)])

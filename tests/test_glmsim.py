@@ -1,8 +1,10 @@
+import errno
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnbench
-from qnbench import rng
+from qnbench import glmsim, rng
 from qnbench.objectives import AssumptionViolationError
 from qnbench.glmsim import (
     NOISE_VAR,
@@ -30,6 +32,21 @@ from qnbench.glmsim import (
     split_train_validation,
 )
 from qnbench.solvers import METHODS, SolverConfig, run_bfgs, run_gd_polyak
+
+
+def pipe_can_grow():
+    """Whether this system lets a process grow a pipe to ``run_trials``'s size."""
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    try:
+        fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, glmsim._PIPE_BYTES)
+        return True
+    except (AttributeError, OSError):
+        return False
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 class TestConfig:
@@ -196,8 +213,6 @@ class TestRunTrials:
     @pytest.mark.parametrize("methods", [["bfgs"], list(METHODS)])
     def test_one_dataset_per_plan_entry(self, monkeypatch, tmp_path, methods):
         # the draws happen in the worker process, so they are logged to a file
-        import qnbench.glmsim as glmsim
-
         log = tmp_path / "drawn"
 
         def keep(*args):
@@ -226,8 +241,6 @@ class TestRunTrials:
         assert str(raised.value) == "need at least two samples to split"
 
     def test_worker_death_is_an_error(self, monkeypatch):
-        import qnbench.glmsim as glmsim
-
         monkeypatch.setattr(glmsim, "generate_dataset", lambda *args: os._exit(3))
         runs = run_trials(low_snr_config(2, 2), SolverConfig(), self.PLAN, ["bfgs"], 1.0)
         with pytest.raises(RuntimeError, match="exited with code 3 before sending the trial "
@@ -244,13 +257,14 @@ class TestRunTrials:
 
     def test_interleaved_runs_close_without_hanging(self):
         # the second worker is forked holding a copy of the first pipe's read
-        # end, so the first worker, blocked in a send of a trial larger than
-        # the pipe buffer, never meets a broken pipe; a fresh interpreter
-        # with a timeout keeps a hang out of this process
+        # end, so the first worker, blocked in a send once its pipe is full
+        # (400 trials of statistics, about 2 MB, outgrow even a grown pipe),
+        # never meets a broken pipe; a fresh interpreter with a timeout keeps
+        # a hang out of this process
         script = (
             "from qnbench.glmsim import low_snr_config, run_trials\n"
             "from qnbench.solvers import SolverConfig\n"
-            "plan = [(3000, seed) for seed in range(40)]\n"
+            "plan = [(3000, seed) for seed in range(400)]\n"
             "a, b = (run_trials(low_snr_config(4, 2), SolverConfig(max_iters=5), plan,"
             " ['bfgs'], 1.0) for _ in range(2))\n"
             "next(a); next(b); a.close(); b.close()\n"
@@ -261,6 +275,51 @@ class TestRunTrials:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_worker_runs_ahead_by_bytes(self, monkeypatch, tmp_path):
+        # 40 trials sent as statistics (d = 4, p = 2), about 190 KB: more
+        # than a default 64 KiB pipe holds, well within a grown one
+        if not pipe_can_grow():
+            pytest.skip("this system refuses to grow a pipe")
+        log = tmp_path / "drawn"
+
+        def keep(*args):
+            with open(log, "a") as handle:
+                handle.write(f"{args[2]}\n")
+            return generate_dataset(*args)
+
+        monkeypatch.setattr(glmsim, "generate_dataset", keep)
+        plan = [(1000, seed) for seed in range(40)]
+        runs = run_trials(low_snr_config(4, 2), SolverConfig(max_iters=5), plan, ["bfgs"], 1.0)
+        next(runs)
+        deadline = time.monotonic() + 30.0
+        while len(log.read_text().splitlines()) < len(plan) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        drawn = len(log.read_text().splitlines())
+        runs.close()
+        assert drawn == len(plan)
+
+    def test_a_refused_resize_keeps_the_default_pipe(self, monkeypatch):
+        import fcntl
+
+        refused = []
+
+        def refuse(*args):
+            refused.append(args[1])
+            raise OSError(errno.EPERM, "pipe size refused")
+
+        # about 100 KB of statistics: the default pipe fills and the worker waits
+        plan = [(1000, seed) for seed in range(20)]
+        config, solver = high_snr_config(4, 2, seed=45), SolverConfig(max_iters=30)
+        want = list(run_trials(config, solver, plan, ["bfgs", "newton"], 1.0))
+        monkeypatch.setattr(fcntl, "fcntl", refuse)
+        got = list(run_trials(config, solver, plan, ["bfgs", "newton"], 1.0))
+        assert refused == [fcntl.F_SETPIPE_SZ]
+        assert len(got) == len(want) == 2 * len(plan)
+        for (*head, trace, _val), (*want_head, want_trace, _want_val) in zip(got, want):
+            assert head == want_head
+            assert np.array_equal(trace.iterates, want_trace.iterates)
+            assert trace.stop_reason == want_trace.stop_reason
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("high_snr", [False, True])
@@ -276,8 +335,17 @@ class TestRunTrials:
                 for field in ("iterates", "errors", "grad_norms", "losses"):
                     assert np.array_equal(getattr(trace, field), getattr(want, field))
                 assert trace.stop_reason == want.stop_reason
-                assert np.array_equal(got_val.x, val.x)
-                assert np.array_equal(got_val.y, val.y)
+                # at d = 1 the validation part evaluates through its
+                # statistics and is sent as them alone; at d = 4 (n = 6, 8)
+                # it is per-sample and sent with its samples
+                assert (got_val.n, got_val.uses_moments) == (val.n, val.uses_moments)
+                if val.uses_moments:
+                    assert got_val.x is None and got_val.y is None
+                    for got, expected in zip(got_val.moments(), val.moments()):
+                        assert np.array_equal(got, expected)
+                else:
+                    assert np.array_equal(got_val.x, val.x)
+                    assert np.array_equal(got_val.y, val.y)
         assert next(runs, None) is None
 
     @pytest.mark.parametrize("plan,methods,message", [
@@ -285,8 +353,6 @@ class TestRunTrials:
         (PLAN, ["bfgs", "sgd"], "method must be one of"),
     ])
     def test_rejects_before_any_dataset(self, monkeypatch, plan, methods, message):
-        import qnbench.glmsim as glmsim
-
         def no_data(*args):
             raise AssertionError("a dataset was generated")
 
@@ -508,8 +574,6 @@ class TestRadiusSweep:
     @staticmethod
     def record_runs(monkeypatch, name="run_glm_method"):
         """The arguments of every call to glmsim's ``name``."""
-        import qnbench.glmsim as glmsim
-
         real = getattr(glmsim, name)
         calls = []
 
@@ -548,8 +612,6 @@ class TestRadiusSweep:
             self.sweep(n_grid=[100, 50, 200])
 
     def test_rejects_short_grid_before_any_dataset(self, monkeypatch):
-        import qnbench.glmsim as glmsim
-
         def no_data(*args):
             raise AssertionError("a dataset was generated")
 
@@ -561,7 +623,6 @@ class TestRadiusSweep:
         # two trials per size whose np.median and np.percentile differ in
         # the last bit; the slope and its stderr are those of the medians
         # the table (and so the CSV) holds
-        import qnbench.glmsim as glmsim
         from qnbench.solvers import SolverTrace
 
         pairs = [
@@ -589,8 +650,6 @@ class TestRadiusSweep:
         assert result.flagged_trials == 1
 
     def test_unknown_method_rejected_before_any_dataset(self, monkeypatch):
-        import qnbench.glmsim as glmsim
-
         def no_data(*args):
             raise AssertionError("a dataset was generated")
 
@@ -602,8 +661,6 @@ class TestRadiusSweep:
     @pytest.mark.parametrize("d", [2, 1])
     def test_bad_init_radius_rejected_before_any_dataset(self, monkeypatch, radius, d):
         # a negative radius would flip every start into the mirror hemisphere
-        import qnbench.glmsim as glmsim
-
         def no_data(*args):
             raise AssertionError("a dataset was generated")
 
@@ -613,8 +670,6 @@ class TestRadiusSweep:
 
     def test_no_validation_early_stop(self, monkeypatch):
         # the sweep reads only the training trace; validation is not scored
-        import qnbench.glmsim as glmsim
-
         def no_early_stop(*args):
             raise AssertionError("the sweep ran the validation early stop")
 

@@ -466,6 +466,60 @@ class TestEmpiricalGlmMoments:
             assert np.isnan(loss.values(np.array([[np.nan, 0.0]]))[0])
 
 
+class TestLossFromMoments:
+    """A loss held as its sufficient statistics alone."""
+
+    def drawn(self, n=200, d=2, p=2):
+        x = rng.normals(63, n * d).reshape(n, d)
+        return EmpiricalGlmLoss(x, rng.normals(64, n), p)
+
+    @pytest.mark.parametrize("d, p", [(1, 2), (2, 2), (2, 3)])
+    def test_evaluates_as_its_source_to_the_bit(self, d, p):
+        source = self.drawn(d=d, p=p)
+        assert source.uses_moments
+        loss = EmpiricalGlmLoss.from_moments(source.n, d, p, source.moments())
+        assert (loss.n, loss.d, loss.p, loss.uses_moments) == (source.n, d, p, True)
+        assert loss.x is None and loss.y is None
+        thetas = rng.normals(65, 4 * d).reshape(4, d)
+        assert np.array_equal(loss.values(thetas), source.values(thetas))
+        for theta in thetas:
+            assert loss.value(theta) == source.value(theta)
+            value, grad = loss.value_and_gradient(theta)
+            assert value == source.value_and_gradient(theta)[0]
+            assert np.array_equal(grad, source.value_and_gradient(theta)[1])
+            assert np.array_equal(loss.hessian(theta), source.hessian(theta))
+
+    def test_what_needs_the_samples_names_them(self):
+        source = self.drawn()
+        loss = EmpiricalGlmLoss.from_moments(source.n, 2, 2, source.moments())
+        theta = np.array([0.3, -0.2])
+        calls = [
+            loss.samples,
+            lambda: loss._sample_value(theta),
+            lambda: loss._sample_value_and_gradient(theta),
+            lambda: loss._sample_hessian(theta),
+            lambda: glmsim.split_train_validation(loss),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not its samples x and y"):
+                call()
+        scalar = self.drawn(d=1)
+        scalar = EmpiricalGlmLoss.from_moments(scalar.n, 1, 2, scalar.moments())
+        with pytest.raises(ValueError, match="not its samples x and y"):
+            glmsim.scalar_moment_ratio(scalar)
+
+    @pytest.mark.parametrize("n, d, p, stats, message", [
+        (0, 2, 2, None, "need n, d >= 1"),
+        (10, 2, 2, (1.0, np.zeros(3), np.zeros((4, 4))), r"b of length d\*\*p = 4"),
+        (10, 2, 2, (1.0, np.zeros(4), np.zeros((4, 3))), r"M of shape \(4, 4\)"),
+        (10, 2, 1, None, "link power p must be an integer >= 2"),
+    ])
+    def test_rejects_statistics_of_the_wrong_shape(self, n, d, p, stats, message):
+        stats = stats or (1.0, np.zeros(4), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match=message):
+            EmpiricalGlmLoss.from_moments(n, d, p, stats)
+
+
 class TestDifferenceOracles:
     def test_gradient_of_quadratic_is_exact(self):
         func = lambda t: float(t @ t)
