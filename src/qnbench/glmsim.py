@@ -18,14 +18,14 @@ it with exact derivatives.
 per (n, data seed) it draws the trial once and runs each method on its
 training part.  The trials are drawn in a forked worker process, which
 sends each part that evaluates through its moment statistics as those
-statistics alone, down a one-way pipe grown to ``_PIPE_BYTES``, while the
-solvers run in the calling process on the trials before; patches made
-before the loop starts reach the worker, but their side effects stay
-there.  The radius sweep feeds it every (size, trial) pair and records the
-best error along each trace against theta_star.  It computes the radius
-CSV's table once, under the CSV's column names, and fits the log-log slope
-to the per-size medians that table holds — the empirical statistical
-radius.
+statistics alone (``EmpiricalGlmLoss.without_samples()``), down a one-way
+pipe grown to ``_PIPE_BYTES``, while the solvers run in the calling process
+on the trials before; patches made before the loop starts reach the
+worker, but their side effects stay there.  The radius sweep feeds it
+every (size, trial) pair and records the best error along each trace
+against theta_star.  It computes the radius CSV's table once, under the
+CSV's column names, and fits the log-log slope to the per-size medians
+that table holds — the empirical statistical radius.
 """
 
 import math
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .objectives import EmpiricalGlmLoss, PowNormObjective, design_gram
+from .objectives import EmpiricalGlmLoss, PowNormObjective, _link_power, design_gram
 from .solvers import METHODS, STOPS_INTERRUPTED, SolverConfig, run_method, run_scalar_bfgs
 
 # Variance of the label noise; the population loss at the truth.
@@ -81,9 +81,7 @@ class GlmModelConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
-            raise ValueError(f"link power p must be an integer >= 2, got {self.p!r}")
-        self.p = int(self.p)
+        self.p = _link_power(self.p)
         self.theta_star = np.asarray(self.theta_star, dtype=float)
         if self.theta_star.shape != (self.d,):
             raise ValueError("theta_star must have length d")
@@ -187,16 +185,16 @@ def draw_trial(config: GlmModelConfig, n: int, data_seed: int, init_radius: floa
 
 
 def scalar_moment_ratio(loss: EmpiricalGlmLoss) -> float:
-    """sum(y x**p) / sum(x**2p) for d = 1: the p-th power of the nonzero
-    stationary point of the scalar loss (may be negative under noise)."""
+    """mean(y x**p) / mean(x**2p), the ratio ``b / M`` of the loss's own
+    ``moments()``, for d = 1: the p-th power of the nonzero stationary point
+    of the scalar loss (may be negative under noise).  It needs no samples,
+    so every d = 1 loss answers it, one from ``without_samples`` too."""
     if loss.d != 1:
         raise ValueError("scalar_moment_ratio needs a one-dimensional loss")
-    x, y = loss.samples()
-    x = x[:, 0]
-    denom = float(np.sum(x ** (2 * loss.p)))
-    if denom <= 0.0:
+    _c, b, m = loss.moments()
+    if m[0, 0] <= 0.0:
         raise ValueError("all features are zero; the loss is constant")
-    return float(np.sum(y * x ** loss.p)) / denom
+    return float(b[0] / m[0, 0])
 
 
 @dataclass(frozen=True)
@@ -318,17 +316,14 @@ def _draw_trials(receiver, sender, config: GlmModelConfig, plan, init_radius):
     """The body of ``run_trials``'s worker process: per plan entry, in order,
     ``draw_trial``, then ``(train, val, theta0)`` down ``sender``, each part
     that evaluates through its moment statistics sent as those statistics
-    alone (``EmpiricalGlmLoss.from_moments``).  An error is sent in place of
-    its trial and ends the worker."""
+    alone (``without_samples()``).  An error is sent in place of its trial
+    and ends the worker."""
     receiver.close()  # the parent's end; a copy held here would keep the pipe open
     for n, data_seed in plan:
         try:
             *parts, theta0 = draw_trial(config, n, data_seed, init_radius)
-            trial = [
-                EmpiricalGlmLoss.from_moments(part.n, part.d, part.p, part.moments())
-                if part.uses_moments else part
-                for part in parts
-            ] + [theta0]
+            trial = [part.without_samples() if part.uses_moments else part
+                     for part in parts] + [theta0]
         except Exception as err:
             sender.send(err)
             return
@@ -349,7 +344,7 @@ def run_trials(config: GlmModelConfig, solver: SolverConfig, plan, methods, init
     The trials are drawn in one worker process, forked on the first
     ``next``, while the solvers run here on the trials before.  The worker
     sends each trial down a one-way pipe, each part that evaluates through
-    its moment statistics as those alone (``EmpiricalGlmLoss.from_moments``;
+    its moment statistics as those alone (``EmpiricalGlmLoss.without_samples()``:
     its ``x`` and ``y`` are None, and ``val`` may be such a part), the rest
     with their samples.  It runs ahead until the pipe is full: the pipe is
     grown to ``_PIPE_BYTES`` where the system allows (about 200 trials of

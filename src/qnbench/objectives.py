@@ -16,6 +16,7 @@ so a second build (say, by a concurrent first evaluation) yields the same
 arrays to the bit.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -59,6 +60,12 @@ def _link_power(p) -> int:
     if not (isinstance(p, (int, np.integer)) and p >= 2):
         raise ValueError(f"link power p must be an integer >= 2, got {p!r}")
     return int(p)
+
+
+def _pow_exponent(q) -> int:
+    if not (isinstance(q, (int, np.integer)) and q >= 4):
+        raise ValueError(f"exponent q must be an integer >= 4, got {q!r}")
+    return int(q)
 
 
 def _kron_power(a, k: int) -> np.ndarray:
@@ -129,10 +136,8 @@ class PowNormObjective:
         gram = np.asarray(gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
             raise ValueError("gram must be a square matrix with at least one row")
-        if not (isinstance(q, (int, np.integer)) and q >= 4):
-            raise ValueError(f"exponent q must be an integer >= 4, got {q!r}")
         self.d = len(gram)
-        self.q = int(q)
+        self.q = _pow_exponent(q)
         self.theta_opt = _as_vector(theta_opt, self.d, "theta_opt")
         if not np.isfinite(self.theta_opt).all():
             raise ValueError("theta_opt must be finite")
@@ -263,35 +268,23 @@ class EmpiricalGlmLoss:
         self.uses_moments = self.d ** (2 * self.p) <= self.n * self.d
         self._moments = None  # (c, b, M), built by the first call of moments
 
-    @classmethod
-    def from_moments(cls, n: int, d: int, p: int, moments):
-        """A loss of n samples in d dimensions held as its sufficient
-        statistics ``(c, b, M)`` alone, as ``moments()`` returns them; its
-        ``x`` and ``y`` are None.
-
-        It evaluates through the statistics whatever n, and the arrays are
-        kept, not copied, so a loss built from another's ``moments()``
-        evaluates to the same bits wherever that one ``uses_moments``.
+    def without_samples(self):
+        """A copy of this loss that holds only its sufficient statistics: its
+        ``x`` and ``y`` are None and its ``moments()`` are this loss's
+        arrays, kept, not copied, so it evaluates to the same bits.
         Whatever needs the samples (``samples``, the per-sample formulas) is
-        a ``ValueError``.
-        """
-        loss = cls.__new__(cls)
+        a ``ValueError``, and so is this call on a loss that does not
+        ``uses_moments``, which has no other form."""
+        if not self.uses_moments:
+            raise ValueError("a loss evaluated per sample cannot drop its samples x and y")
+        loss = copy.copy(self)
         loss.x = loss.y = None
-        loss.n, loss.d, loss.p = int(n), int(d), _link_power(p)
-        c, b, m = moments
-        size = loss.d ** loss.p
-        if not (n >= 1 and d >= 1 and np.shape(b) == (size,) and np.shape(m) == (size, size)):
-            raise ValueError(
-                f"moments of {n} samples in {d} dimensions need n, d >= 1, "
-                f"b of length d**p = {size} and M of shape ({size}, {size})"
-            )
-        loss.uses_moments = True
-        loss._moments = (c, b, m)
+        loss._moments = self.moments()
         return loss
 
     def samples(self):
-        """The samples ``(x, y)``; a ``ValueError`` for a loss built
-        ``from_moments``, which holds none."""
+        """The samples ``(x, y)``; a ``ValueError`` for a loss from
+        ``without_samples``, which holds none."""
         if self.x is None:
             raise ValueError(
                 "this loss holds only its moment statistics, not its samples x and y"

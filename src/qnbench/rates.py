@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objectives import _link_power, _pow_exponent
 
 # Decimal digits by which the smallest gap |r_k - r_*| of a high-precision
 # table must exceed the working epsilon.
@@ -31,15 +32,9 @@ GAP_SPARE_DIGITS = 20
 _DERIVATIVE_GRID_POINTS = 10_000
 
 
-def _check_q(q):
-    if not (isinstance(q, (int, np.integer)) and q >= 4):
-        raise ValueError(f"exponent q must be an integer >= 4, got {q!r}")
-    return int(q)
-
-
 def newton_factor(q: int) -> float:
     """Per-step error ratio of unit-step Newton on the pow-norm objective."""
-    q = _check_q(q)
+    q = _pow_exponent(q)
     return (q - 2) / (q - 1)
 
 
@@ -50,8 +45,7 @@ def scalar_secant_contraction_bound(p: int) -> float:
     empirical optimum, the error to that optimum shrinks per step by at
     least ``1 - (p/(p+1))**(2p-2) / (2p**2 - p)``.
     """
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError(f"link power p must be an integer >= 2, got {p!r}")
+    p = _link_power(p)
     return 1.0 - (p / (p + 1)) ** (2 * p - 2) / (2 * p * p - p)
 
 
@@ -61,7 +55,7 @@ def fixed_point(q: int) -> float:
     Plain bisection on [0, 1]; the left-hand side is strictly increasing in
     r, so the root is bracketed throughout.
     """
-    q = _check_q(q)
+    q = _pow_exponent(q)
     lo, hi = 0.0, 1.0
     for _ in range(200):
         if hi - lo <= 1e-15:
@@ -76,7 +70,7 @@ def fixed_point(q: int) -> float:
 
 def contraction_map(q: int, r: float) -> float:
     """One step of the factor recursion: r -> (1 - r**(q-2)) / (1 - r**(q-1))."""
-    q = _check_q(q)
+    q = _pow_exponent(q)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r!r}")
     return (1.0 - r ** (q - 2)) / (1.0 - r ** (q - 1))
@@ -93,7 +87,7 @@ class ContractionSequence:
 
 def contraction_sequence(q: int, k_max: int) -> ContractionSequence:
     """Factors r_0..r_{k_max} in double precision plus the fixed point."""
-    q = _check_q(q)
+    q = _pow_exponent(q)
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     factors = np.empty(k_max + 1)
@@ -117,7 +111,7 @@ def contraction_map_derivative_bound(q: int) -> DerivativeBoundReport:
     points over [0, 1 - 1e-6].  The denominator is formed as
     -expm1((q-1) log r) so it stays accurate where r**(q-1) is close to 1.
     """
-    q = _check_q(q)
+    q = _pow_exponent(q)
     r = np.linspace(0.0, 1.0 - 1e-6, _DERIVATIVE_GRID_POINTS)
     numer = np.abs((q - 1) * r ** (q - 2) - r ** (2 * q - 4) - (q - 2) * r ** (q - 3))
     with np.errstate(divide="ignore"):
@@ -143,7 +137,7 @@ def _highprec_factors(q, k_max):
     """
     import mpmath
 
-    q = _check_q(q)
+    q = _pow_exponent(q)
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     digits = 40 + int(0.42 * k_max) + 1
@@ -159,8 +153,7 @@ def _highprec_factors(q, k_max):
                     break
             factors = [mpmath.mpf(q - 2) / (q - 1)]
             for _ in range(k_max):
-                r = factors[-1]
-                factors.append((1 - r ** (q - 2)) / (1 - r ** (q - 1)))
+                factors.append(contraction_map(q, factors[-1]))
             gap = abs(factors[-1] - r_star)
             spare = 0 if gap == 0 else int(mpmath.floor(mpmath.log10(gap / mpmath.eps)))
             if spare >= GAP_SPARE_DIGITS:

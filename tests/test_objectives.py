@@ -467,7 +467,7 @@ class TestEmpiricalGlmMoments:
 
 
 class TestLossFromMoments:
-    """A loss held as its sufficient statistics alone."""
+    """A loss held as its sufficient statistics alone: ``without_samples()``."""
 
     def drawn(self, n=200, d=2, p=2):
         x = rng.normals(63, n * d).reshape(n, d)
@@ -477,9 +477,11 @@ class TestLossFromMoments:
     def test_evaluates_as_its_source_to_the_bit(self, d, p):
         source = self.drawn(d=d, p=p)
         assert source.uses_moments
-        loss = EmpiricalGlmLoss.from_moments(source.n, d, p, source.moments())
+        loss = source.without_samples()
         assert (loss.n, loss.d, loss.p, loss.uses_moments) == (source.n, d, p, True)
         assert loss.x is None and loss.y is None
+        assert source.x is not None and source.y is not None
+        assert all(ours is theirs for ours, theirs in zip(loss.moments(), source.moments()))
         thetas = rng.normals(65, 4 * d).reshape(4, d)
         assert np.array_equal(loss.values(thetas), source.values(thetas))
         for theta in thetas:
@@ -490,8 +492,7 @@ class TestLossFromMoments:
             assert np.array_equal(loss.hessian(theta), source.hessian(theta))
 
     def test_what_needs_the_samples_names_them(self):
-        source = self.drawn()
-        loss = EmpiricalGlmLoss.from_moments(source.n, 2, 2, source.moments())
+        loss = self.drawn().without_samples()
         theta = np.array([0.3, -0.2])
         calls = [
             loss.samples,
@@ -503,21 +504,21 @@ class TestLossFromMoments:
         for call in calls:
             with pytest.raises(ValueError, match="not its samples x and y"):
                 call()
-        scalar = self.drawn(d=1)
-        scalar = EmpiricalGlmLoss.from_moments(scalar.n, 1, 2, scalar.moments())
-        with pytest.raises(ValueError, match="not its samples x and y"):
-            glmsim.scalar_moment_ratio(scalar)
 
-    @pytest.mark.parametrize("n, d, p, stats, message", [
-        (0, 2, 2, None, "need n, d >= 1"),
-        (10, 2, 2, (1.0, np.zeros(3), np.zeros((4, 4))), r"b of length d\*\*p = 4"),
-        (10, 2, 2, (1.0, np.zeros(4), np.zeros((4, 3))), r"M of shape \(4, 4\)"),
-        (10, 2, 1, None, "link power p must be an integer >= 2"),
-    ])
-    def test_rejects_statistics_of_the_wrong_shape(self, n, d, p, stats, message):
-        stats = stats or (1.0, np.zeros(4), np.zeros((4, 4)))
-        with pytest.raises(ValueError, match=message):
-            EmpiricalGlmLoss.from_moments(n, d, p, stats)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_scalar_moment_ratio_needs_no_samples(self, p):
+        source = self.drawn(d=1, p=p)
+        x, y = source.x[:, 0], source.y
+        expected = np.sum(y * x ** p) / np.sum(x ** (2 * p))
+        ratio = glmsim.scalar_moment_ratio(source.without_samples())
+        assert ratio == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_a_per_sample_loss_refuses_to_drop_its_samples(self):
+        loss = self.drawn(n=10, d=4)  # d**(2p) = 256 > n d = 40
+        assert not loss.uses_moments
+        with pytest.raises(ValueError, match="cannot drop its samples"):
+            loss.without_samples()
+        assert loss.x is not None and loss._moments is None
 
 
 class TestDifferenceOracles:

@@ -4,13 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qnbench import rng, solvers
 from qnbench.acceptance import replay_bfgs
 from qnbench.glmsim import draw_trial, generate_dataset, low_snr_config, scalar_moment_ratio
 from qnbench.objectives import (
+    AssumptionViolationError,
     EmpiricalGlmLoss,
     PowNormObjective,
     design_gram,
@@ -963,6 +964,43 @@ class TestTraceShape:
         obj = random_pow_norm_objective(2, 4, 4, seed=81)
         trace = run_gd_constant(obj, obj.theta_opt, SolverConfig(step_size=0.1))
         assert trace.error_ratios().size == 0
+
+
+class TestStopInvariantsOnRandomInstances:
+    """Every method's trace on random pow-norm instances keeps the driver's
+    promises: a known stop reason, at most one record per step after the
+    start, finite records up to the last, a non-finite one only where the
+    run diverged, and convergence only where it is exact."""
+
+    STOPS = (STOP_GRAD_TOL, STOP_MAX_ITERS, STOP_DIVERGED, STOP_SECANT_BREAKDOWN)
+
+    @settings(max_examples=150)
+    @given(
+        q=st.sampled_from([4, 6, 10]),
+        shape=st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, 3 * d))),
+        seed=st.integers(0, 10_000),
+    )
+    def test_every_method_keeps_the_stop_rules(self, q, shape, seed):
+        d, m = shape
+        try:
+            obj = random_pow_norm_objective(d, m, q, seed)
+        except AssumptionViolationError:
+            reject()
+        config = SolverConfig(max_iters=200)
+        for method in METHODS:
+            trace = run_method(method, obj, rng.normals(seed + 1, d), config)
+            records = np.column_stack(
+                [trace.iterates, trace.errors, trace.grad_norms, trace.losses]
+            )
+            assert trace.stop_reason in self.STOPS, method
+            assert len(trace) <= config.max_iters + 1, method
+            assert np.isfinite(records[:-1]).all(), method
+            if not np.isfinite(records[-1]).all():
+                assert trace.stop_reason == STOP_DIVERGED, method
+            if trace.stop_reason == STOP_GRAD_TOL:
+                # gd-polyak's f_star is 0, the instance's exact minimum
+                converged = method == "gd-polyak" and trace.losses[-1] <= 0.0
+                assert trace.grad_norms[-1] == 0.0 or converged, method
 
 
 class TestSolverConfig:
