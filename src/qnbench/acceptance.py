@@ -2,9 +2,10 @@
 
 ``CHECKS`` lists ``(number, title, seconds, check)`` in order; ``qnbench
 selfcheck`` and ``tests/test_acceptance.py`` both run each entry through
-``run_check``.  Numbers 1-9 and 11 are acceptance criteria 1-9 and 11,
-number 12 is dataset determinism.  Each check returns a bool and keeps its
-own fixed tolerances; its entry keeps its wall-clock bound.
+``run_check`` and report it with ``report_line``.  Numbers 1-11 are
+acceptance criteria 1-11, number 12 is dataset determinism.  Each check
+returns a bool and keeps its own fixed tolerances; its entry keeps its
+wall-clock bound.
 """
 
 import math
@@ -26,6 +27,17 @@ def run_check(check, seconds):
     ok = bool(check())
     elapsed = time.perf_counter() - started
     return ok and elapsed < seconds, elapsed
+
+
+def report_line(number, title, passed, outcome):
+    """The line that reports one check, ``criterion N [  t.tts] PASS —
+    title``: ``outcome`` is the check's elapsed seconds, or the exception
+    it raised, whose text then stands in place of the time."""
+    if isinstance(outcome, Exception):
+        when = f"{type(outcome).__name__}: {outcome}"
+    else:
+        when = f"{outcome:6.2f}s"
+    return f"criterion {number:2d} [{when}] {'PASS' if passed else 'FAIL'} — {title}"
 
 
 def theory_instances():
@@ -118,11 +130,7 @@ def factor_envelope():
 
 
 def derivative_bound():
-    ok = True
-    for q in range(4, 101):
-        rep = rates.contraction_map_derivative_bound(q)
-        ok = ok and rep.holds and rep.max_abs_derivative <= 0.5 + 1e-9
-    return ok
+    return all(rates.contraction_map_derivative_bound(q).holds for q in range(4, 101))
 
 
 def closed_form_inverse():
@@ -230,6 +238,43 @@ def statistical_radius_slopes():
     return ok
 
 
+def iteration_contrast_counts():
+    """Criterion 10's counts ``(bfgs, gd)``, one per dataset: on 11 low-SNR
+    datasets (p = 2, d = 1, n = 10,000), started at theta = 1, the index of
+    the first iterate within 1.5x of BFGS's smallest error over 200 steps,
+    for BFGS and for constant-step GD at its best step size in
+    10^-1 .. 10^-6 (10,001 when none gets there in 10,000 steps).
+
+    Each step size's budget is the best count so far.  That leaves the
+    minimum as it is: a trace's first K records do not depend on its
+    budget, since the stop rules read only the records and the cycle fill
+    copies what would have been computed."""
+    config = glmsim.low_snr_config(1, 2)
+    start = np.array([1.0])
+    bfgs_iters, gd_iters = [], []
+    for s in range(11):
+        loss = glmsim.generate_dataset(config, 10_000, rng.derive_seed(900, s))
+        trace = glmsim.run_glm_method("bfgs", loss, start, SolverConfig(max_iters=200), 0.0)
+        threshold = 1.5 * trace.min_error
+        bfgs_iters.append(int(np.argmax(trace.errors <= threshold)))
+        best = 10_001
+        for k in range(1, 7):
+            if best == 0:  # the start is there already; a budget must be >= 1
+                break
+            gd_config = SolverConfig(step_size=10.0 ** -k, max_iters=min(best, 10_000))
+            gd = glmsim.run_glm_method("gd-constant", loss, start, gd_config, 0.0)
+            hits = np.flatnonzero(gd.errors <= threshold)
+            if hits.size:
+                best = min(best, int(hits[0]))
+        gd_iters.append(best)
+    return bfgs_iters, gd_iters
+
+
+def iteration_contrast():
+    bfgs, gd = map(np.median, iteration_contrast_counts())
+    return bfgs <= 50 and gd >= 10 * bfgs
+
+
 def determinism():
     from . import cli  # only this check drives the CLI
 
@@ -278,6 +323,9 @@ CHECKS = (
     (9, "BFGS radius slopes: low-snr {:g}±{:g}, high-snr {:g}±{:g} (p = 2, d = 4, "
         "40 trials per n), best-error index at most 50 and growing slower than n"
         .format(*LOW_SNR_BAND, *HIGH_SNR_BAND), 300.0, statistical_radius_slopes),
+    (10, "median iterations to 1.5x the BFGS floor on 11 low-snr datasets (p = 2, "
+         "d = 1, n = 10,000): bfgs at most 50, constant-step gd at its best of six "
+         "step sizes at least 10x bfgs", 120.0, iteration_contrast),
     (11, "rerunning every benchmark command with the same seed yields "
          "byte-identical CSV output", math.inf, determinism),
     (12, "identical seeds reproduce identical datasets", math.inf, dataset_determinism),

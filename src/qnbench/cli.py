@@ -521,13 +521,12 @@ def cmd_selfcheck(_params) -> int:
     from . import acceptance  # only this command needs it; keeps import time flat
 
     failures = 0
-    for _number, name, seconds, fn in acceptance.CHECKS:
+    for number, title, seconds, fn in acceptance.CHECKS:
         try:
-            ok, _elapsed = acceptance.run_check(fn, seconds)
+            ok, outcome = acceptance.run_check(fn, seconds)
         except Exception as err:  # a crashed check is a failed check
-            ok = False
-            name = f"{name} ({type(err).__name__}: {err})"
-        print(f"{'PASS' if ok else 'FAIL'} — {name}")
+            ok, outcome = False, err
+        print(acceptance.report_line(number, title, ok, outcome))
         failures += 0 if ok else 1
     print(f"selfcheck: {failures} failure(s)")
     return EXIT_OK if failures == 0 else 1

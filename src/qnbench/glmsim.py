@@ -199,12 +199,10 @@ def scalar_moment_ratio(loss: EmpiricalGlmLoss) -> float:
 
 @dataclass(frozen=True)
 class EarlyStopChoice:
-    """The chosen trace index, its validation loss, and the validation loss
-    at every iterate (the raw value at a finite iterate, NaN at a
-    non-finite one)."""
+    """The chosen trace index and the validation loss at every iterate (the
+    raw value at a finite iterate, NaN at a non-finite one)."""
 
     index: int
-    val_loss: float
     losses: np.ndarray
 
 
@@ -212,8 +210,8 @@ def early_stop_by_validation(trace, validation_loss) -> EarlyStopChoice:
     """Trace index minimizing validation loss over every recorded iterate.
 
     The finite iterates are evaluated in one ``values`` call.  Ties break
-    toward the smallest index; non-finite losses never win, and
-    ``val_loss`` is inf when no iterate has a finite one.
+    toward the smallest index; non-finite losses never win, so the index is
+    0 when no iterate has a finite one.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
@@ -223,8 +221,7 @@ def early_stop_by_validation(trace, validation_loss) -> EarlyStopChoice:
     with np.errstate(all="ignore"):
         losses[finite] = validation_loss.values(points[finite])
     candidates = np.where(np.isfinite(losses), losses, np.inf)
-    idx = int(np.argmin(candidates))
-    return EarlyStopChoice(index=idx, val_loss=float(candidates[idx]), losses=losses)
+    return EarlyStopChoice(index=int(np.argmin(candidates)), losses=losses)
 
 
 def fit_loglog_slope(xs, ys):

@@ -117,16 +117,19 @@ class SolverTrace:
                 self.errors[:-1] > 0, self.errors[1:] / self.errors[:-1], np.nan
             )
 
+    def _finite_errors(self) -> np.ndarray:
+        """``errors`` with each non-finite entry (a diverged tail) as inf."""
+        return np.where(np.isfinite(self.errors), self.errors, np.inf)
+
     @property
     def min_error(self) -> float:
         """Smallest finite error along the trace (diverged tails excluded)."""
-        masked = np.where(np.isfinite(self.errors), self.errors, np.inf)
-        return float(np.min(masked))
+        return float(np.min(self._finite_errors()))
 
     @property
     def iters_to_min(self) -> int:
-        masked = np.where(np.isfinite(self.errors), self.errors, np.inf)
-        return int(np.argmin(masked))
+        """Index of the first record with the smallest finite error."""
+        return int(np.argmin(self._finite_errors()))
 
 
 def _norm(v) -> float:

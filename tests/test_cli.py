@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -818,22 +819,32 @@ class TestSvgCommand:
                 assert text in [node.text for node in root.iter(f"{ns}text")]
 
 
+def untimed(out):
+    """``out``'s lines with each check's time shown as ``t``."""
+    return [re.sub(r"\[ *\d+\.\d\ds\]", "[t]", line) for line in out.splitlines()]
+
+
 class TestSelfcheck:
-    def test_passes(self, capsys):
+    # the real checks run in test_acceptance.py, one test per entry, and
+    # all together in TestDependencies's selfcheck subprocess
+    def test_passes(self, capsys, monkeypatch):
+        assert [entry[0] for entry in acceptance.CHECKS] == list(range(1, 13))
+        checks = [(1, "holds", math.inf, lambda: True), (12, "holds too", 5.0,
+                  lambda: True)]
+        monkeypatch.setattr(acceptance, "CHECKS", checks)
         assert run_cli("selfcheck") == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") == len(acceptance.CHECKS)
-        assert [entry[0] for entry in acceptance.CHECKS] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
+        assert untimed(capsys.readouterr().out) == [
+            "criterion  1 [t] PASS — holds", "criterion 12 [t] PASS — holds too",
+            "selfcheck: 0 failure(s)"]
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         checks = [(1, "holds", math.inf, lambda: True), (2, "does not hold", math.inf,
                   lambda: False), (3, "overruns", 0.0, lambda: True)]
         monkeypatch.setattr(acceptance, "CHECKS", checks)
         assert run_cli("selfcheck") == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == ["PASS — holds", "FAIL — does not hold", "FAIL — overruns",
-                         "selfcheck: 2 failure(s)"]
+        assert untimed(capsys.readouterr().out) == [
+            "criterion  1 [t] PASS — holds", "criterion  2 [t] FAIL — does not hold",
+            "criterion  3 [t] FAIL — overruns", "selfcheck: 2 failure(s)"]
 
     def test_raising_check_is_a_failure(self, capsys, monkeypatch):
         def crash():
@@ -841,8 +852,9 @@ class TestSelfcheck:
 
         monkeypatch.setattr(acceptance, "CHECKS", [(1, "crashes", math.inf, crash)])
         assert run_cli("selfcheck") == 1
-        out = capsys.readouterr().out
-        assert "FAIL — crashes (ZeroDivisionError: division by zero)" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "criterion  1 [ZeroDivisionError: division by zero] FAIL — crashes",
+            "selfcheck: 1 failure(s)"]
 
 
 class TestAssumptionExitCode:

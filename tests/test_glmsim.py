@@ -447,7 +447,7 @@ class TestEarlyStop:
         assert choice.losses.shape == (len(trace),)
         for k, theta in enumerate(trace.iterates):
             assert choice.losses[k] == val.value(theta)
-        assert choice.val_loss == choice.losses[choice.index] == np.min(choice.losses)
+        assert choice.losses[choice.index] == np.min(choice.losses)
 
     @staticmethod
     def scalar_trace(iterates):
@@ -473,7 +473,7 @@ class TestEarlyStop:
         assert np.isnan(choice.losses[1]) and np.isnan(choice.losses[3])
         assert choice.losses[2] == np.inf
         assert choice.index == 4
-        assert choice.val_loss == val.value(np.array([2.0]))
+        assert choice.losses[4] == val.value(np.array([2.0]))
 
     def test_batched_losses_match_per_iterate_loop(self):
         from qnbench.objectives import EmpiricalGlmLoss
@@ -508,16 +508,14 @@ class TestEarlyStop:
                 if np.all(np.isfinite(theta)):
                     expected[i] = val.value(theta)
         assert np.array_equal(choice.losses, expected, equal_nan=True)
-        assert choice.val_loss == expected[first]
 
-    def test_no_finite_loss_leaves_val_loss_infinite(self):
+    def test_no_finite_loss_picks_the_first_iterate(self):
         from qnbench.objectives import EmpiricalGlmLoss
 
         val = EmpiricalGlmLoss(np.ones(10), np.ones(10), 2)
         trace = self.scalar_trace([np.nan, 1e200, -np.inf])
         choice = early_stop_by_validation(trace, val)
         assert choice.index == 0
-        assert choice.val_loss == np.inf
         assert np.isnan(choice.losses[0]) and np.isnan(choice.losses[2])
         assert choice.losses[1] == np.inf
 

@@ -1167,3 +1167,54 @@ class TestCycleFill:
         long[:5] = [0, 1, 2, 0, 1]
         solvers._fill_periodic(long, 5, 100, 3)
         assert long.tolist() == [[0.0, 1.0, 2.0][k % 3] for k in range(100)]
+
+
+def assert_budget_prefix(short, full, budget):
+    """``short``, a run with a budget of ``budget`` steps, is ``full``, the
+    same run with a larger budget, cut after that many steps, to the bit:
+    records, stop reason and ``step_info``, whose lists hold one entry per
+    step or update and whose ``cycle`` the cut run has if its fill began
+    within the budget."""
+    records = min(len(full), budget + 1)
+    assert len(short) == records
+    for name in ("iterates", "errors", "grad_norms", "losses"):
+        assert getattr(short, name).tobytes() == getattr(full, name)[:records].tobytes(), name
+    cut = records < len(full)
+    assert short.stop_reason == (STOP_MAX_ITERS if cut else full.stop_reason)
+    assert short.step_info.keys() <= full.step_info.keys()
+    for key, value in short.step_info.items():
+        expected = full.step_info[key]
+        if key != "cycle":
+            expected = expected[:budget] if cut else expected
+        assert value.shape == expected.shape, key
+        assert value.tobytes() == expected.tobytes(), key
+
+
+class TestBudgetPrefix:
+    """A run's first K + 1 records do not depend on its budget, K steps or
+    more: the stop rules read only the records, and the cycle fill copies
+    what the run would have computed.  Criterion 10 rests on this when it
+    stops each GD step size at the best count so far."""
+
+    @pytest.mark.parametrize("instance", ["glm", "pow-norm"])
+    def test_a_smaller_budget_cuts_the_same_run(self, instance):
+        if instance == "glm":
+            objective, theta0 = small_glm_trial(2, 200, 0)
+            f_star, theta_ref = 1.0, np.zeros(2)
+        else:
+            objective = random_pow_norm_objective(3, 6, 4, 4, entry_std=1.0 / np.sqrt(6))
+            theta0, f_star, theta_ref = rng.normals(104, 3), 0.0, None
+        cut_after_fill = 0
+        for method in METHODS:
+            def run(budget):
+                config = SolverConfig(step_size=0.1, max_iters=budget)
+                return run_method(method, objective, theta0, config, f_star, theta_ref)
+
+            full = run(300)
+            for budget in (1, 12, 100, 160, 250):
+                short = run(budget)
+                assert_budget_prefix(short, full, budget)
+                cut_after_fill += "cycle" in short.step_info and len(short) < len(full)
+        # Newton's fill (and on the pow-norm instance gd-polyak's) starts
+        # before the larger budgets
+        assert cut_after_fill >= 3
