@@ -142,33 +142,36 @@ def _norm(v) -> float:
 def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
              step_info=None) -> SolverTrace:
     """The iteration shared by every solver: record the starting points,
-    then stop check, step, evaluate and record until a stop.
+    then step, evaluate and record until a record stops the run.
 
     ``starts`` lists evaluated ``(theta, loss, grad)`` triples, recorded in
-    order; the loop continues from the last.  ``limit_stop`` decides every
-    stop at a record, the one after the last allowed step included: first
-    the generic rules (diverged at a non-finite loss, gradient norm or
-    error, converged at a zero gradient norm, diverged at an error above
-    ``_DIVERGENCE_CAP``), then the method's own rule, the stop reason that
-    ``check(loss)`` (when given) returns for the last recorded loss, and
-    last the budget, max-iters once ``max_iters`` steps are taken.
-    ``step(theta, loss, grad)`` returns the next iterate.  After each
-    record, ``after(theta, grad, theta_next, grad_next)`` (when given) may
-    return a stop reason; the new iterate is recorded either way, and a
-    stop there on a non-finite record is diverged.  ``step_info`` maps
-    names to lists that the callbacks fill, one entry per step or update.
+    order; the loop continues from the last.  ``step(theta, loss, grad)``
+    returns the next iterate, and ``after(theta, grad, theta_next,
+    grad_next)`` (when given) may return a stop reason for that step.
+    ``step_info`` maps names to lists that the callbacks fill, one entry
+    per step or update.
+
+    ``record`` decides every stop from the values it has just recorded,
+    the record after the last allowed step included (a run with two
+    starts takes its second start's stop), in this order:
+
+    1. a non-finite loss, gradient norm or error is diverged;
+    2. the stop that ``after`` returned for the step;
+    3. a zero gradient norm is grad-tol;
+    4. an error above ``_DIVERGENCE_CAP`` is diverged;
+    5. the stop reason that ``check(loss)`` (when given) returns;
+    6. the record after ``max_iters`` steps is max-iters.
 
     A run without ``after`` carries no state between steps, so its next
     record is a pure function of its current iterate, and the stop rules
-    read only the last record.  Before each step such a run compares the
+    read only that record.  Before each step such a run compares the
     iterate's bytes (not its values, so ``-0.0`` and ``0.0`` stay apart)
     with those of its last ``CYCLE_WINDOW`` records.  On a repeat with
     period ``p`` the run would recompute its last ``p`` records until its
     budget ran out, so they are copied periodically through the trace
     arrays up to the budget instead, each ``step_info`` list is extended
-    the same way, and ``step_info["cycle"]`` is set to
-    ``[first copied record, p]``.  ``limit_stop`` then stops the run at
-    max-iters, as it would have stopped the computed run.
+    the same way, ``step_info["cycle"]`` is set to ``[first copied
+    record, p]``, and the run stops at max-iters, as its last copy would.
     """
     size = config.max_iters + len(starts)
     iterates = np.empty((size, len(starts[0][0])))
@@ -178,26 +181,22 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     theta_ref = np.asarray(theta_ref, dtype=float)
     count = 0
 
-    def record(theta, loss, grad):
+    def record(theta, loss, grad, pending=None):
         nonlocal count
         iterates[count] = theta
-        errors[count] = _norm(theta - theta_ref)
-        grad_norms[count] = _norm(grad)
+        errors[count] = error = _norm(theta - theta_ref)
+        grad_norms[count] = grad_norm = _norm(grad)
         losses[count] = loss
         count += 1
-
-    def finite_record():
-        return (math.isfinite(losses[count - 1]) and math.isfinite(grad_norms[count - 1])
-                and math.isfinite(errors[count - 1]))
-
-    def limit_stop():
-        if not finite_record():
+        if not (math.isfinite(loss) and math.isfinite(grad_norm) and math.isfinite(error)):
             return STOP_DIVERGED
-        if grad_norms[count - 1] == 0.0:
+        if pending is not None:
+            return pending
+        if grad_norm == 0.0:
             return STOP_GRAD_TOL
-        if errors[count - 1] > _DIVERGENCE_CAP:
+        if error > _DIVERGENCE_CAP:
             return STOP_DIVERGED
-        stop = check(losses[count - 1]) if check else None
+        stop = check(loss) if check else None
         if stop is None and count == size:
             return STOP_MAX_ITERS
         return stop
@@ -207,9 +206,9 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
     seen = {} if after is None and CYCLE_WINDOW > 0 else None
     with np.errstate(all="ignore"):
         for start in starts:
-            record(*start)
+            stop = record(*start)
         theta, loss, grad = starts[-1]
-        while (stop := limit_stop()) is None:
+        while stop is None:
             if seen is not None:
                 first = seen.setdefault(theta.tobytes(), count - 1)
                 if first < count - 1:
@@ -220,18 +219,14 @@ def _iterate(evaluate, starts, theta_ref, config, step, check=None, after=None,
                         tail = itertools.cycle(values[-period:])
                         values.extend(itertools.islice(tail, size - count))
                     step_info["cycle"] = [count, period]
-                    count = size  # so limit_stop stops the run at max-iters
-                    continue
+                    count, stop = size, STOP_MAX_ITERS
+                    break
                 if len(seen) > CYCLE_WINDOW:
                     del seen[next(iter(seen))]
             theta_next = step(theta, loss, grad)
             loss, grad_next = evaluate(theta_next)
-            record(theta_next, loss, grad_next)
-            stop = after(theta, grad, theta_next, grad_next) if after else None
-            if stop is not None:
-                if not finite_record():
-                    stop = STOP_DIVERGED
-                break
+            pending = after(theta, grad, theta_next, grad_next) if after else None
+            stop = record(theta_next, loss, grad_next, pending)
             theta, grad = theta_next, grad_next
     return SolverTrace(
         iterates=iterates[:count],
@@ -331,24 +326,22 @@ def run_newton(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     config = config or SolverConfig()
     with_direction = getattr(objective, "value_gradient_and_newton_direction", None)
     if with_direction is None:
-        start, theta_ref = _vector_start(objective, theta0, theta_ref)
+        evaluate = objective.value_and_gradient
 
-        def solve_step(theta, _loss, grad):
+        def step(theta, _loss, grad):
             return theta - _solve_symmetric(objective.hessian(theta), grad)
+    else:
+        direction = None
 
-        return _iterate(objective.value_and_gradient, [start], theta_ref, config, solve_step)
+        def evaluate(theta):
+            nonlocal direction
+            loss, grad, direction = with_direction(theta)
+            return loss, grad
 
-    direction = None
-
-    def evaluate(theta):
-        nonlocal direction
-        loss, grad, direction = with_direction(theta)
-        return loss, grad
-
-    def step(theta, _loss, _grad):
-        # the direction is None only at r = 0, where the gradient is exactly
-        # zero, so the driver has stopped the run at grad-tol before this
-        return theta - direction
+        def step(theta, _loss, _grad):
+            # the direction is None only at r = 0, where the gradient is
+            # exactly zero, so the driver has stopped the run at grad-tol
+            return theta - direction
 
     start, theta_ref = _vector_start(objective, theta0, theta_ref, evaluate)
     return _iterate(evaluate, [start], theta_ref, config, step)
@@ -515,6 +508,9 @@ def run_bfgs(objective, theta0, config=None, theta_ref=None) -> SolverTrace:
     """
     config = config or SolverConfig()
     start, theta_ref = _vector_start(objective, theta0, theta_ref)
+    # Build the seed before _iterate runs: built in the first step instead,
+    # flat-d1000's peak_rss_mb read 89.9-90.0 MiB against 82.2-82.4 (3 runs
+    # each, 2-core host, bench/run.py --workload flat-d1000 --seed 11 --seconds 0).
     h = None
     with np.errstate(all="ignore"):  # as the start is: see _vector_start
         if _norm(start[2]) != 0.0:

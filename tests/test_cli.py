@@ -316,7 +316,8 @@ class TestRadiusCommand:
         assert header == ["n", "median_min_error", "q25", "q75", "median_iters_to_min"]
         assert rows[-1][0] == "slope"
         slope = float(rows[-1][1])
-        assert slope == pytest.approx(-0.25, abs=0.08)
+        target, tolerance = acceptance.LOW_SNR_BAND
+        assert slope == pytest.approx(target, abs=tolerance)
         for row in rows[:-1]:
             q25, med, q75 = float(row[2]), float(row[1]), float(row[3])
             assert q25 <= med <= q75
@@ -330,7 +331,8 @@ class TestRadiusCommand:
         )
         assert code == 0
         _, rows = read_csv(out)
-        assert float(rows[-1][1]) == pytest.approx(-0.5, abs=0.1)
+        target, tolerance = acceptance.HIGH_SNR_BAND
+        assert float(rows[-1][1]) == pytest.approx(target, abs=tolerance)
 
     def test_deterministic(self, tmp_path):
         assert reruns_identical(

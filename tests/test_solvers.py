@@ -778,6 +778,20 @@ class TestStopPrecedence:
         assert trace.iterates[1] == pytest.approx(1.1, rel=1e-15)
         assert len(trace.step_info.get("curvature", ())) == 0
 
+    def test_breakdown_beats_a_zero_gradient(self):
+        # concave, with seed -1 I: the first BFGS step lands exactly on the
+        # zero gradient at 0 with curvature s'u = -1, and the breakdown
+        # comes before the zero-gradient rule, so the run does not read as
+        # converged
+        trace = run_bfgs(
+            Cliff(sign=-1.0, scale=-1.0), np.array([1.0]), SolverConfig(max_iters=5)
+        )
+        assert trace.iterates[:, 0].tolist() == [1.0, 0.0]
+        assert trace.grad_norms[-1] == 0.0
+        assert trace.stop_reason == STOP_SECANT_BREAKDOWN
+        assert len(trace) == 2
+        assert len(trace.step_info.get("curvature", ())) == 0
+
     @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_value_on_last_allowed_step_is_diverged(self, method):
         # every method steps from 1 to -4 or -7, past the cliff at |theta| = 2;
