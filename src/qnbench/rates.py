@@ -11,14 +11,15 @@ one-step map has derivative bounded by 1/2 in absolute value on [0, 1).
 Newton's method contracts by the constant (q - 2)/(q - 1) < r_* instead.
 
 This module is the oracle that solver tests compare against.  Everything
-here is stateless and pure.  Double precision covers solver comparisons;
-the geometric-envelope check needs gaps far below 1e-16, so the table used
-for it runs on mpmath arbitrary precision.  mpmath is imported by the two
-functions that use it, so importing this module (and the CLI) does not
-load it.
+here is stateless and pure.  One root finder serves both precisions:
+``_root`` runs Newton's method on ``r**(q-1) + r**(q-2) - 1`` in the
+standard library's ``decimal``.  Double precision covers solver
+comparisons; the geometric-envelope check needs gaps far below 1e-16, so
+the table used for it runs in a decimal context of a few hundred digits.
 """
 
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -49,31 +50,41 @@ def scalar_secant_contraction_bound(p: int) -> float:
     return 1.0 - (p / (p + 1)) ** (2 * p - 2) / (2 * p * p - p)
 
 
-def fixed_point(q: int) -> float:
-    """The limit factor r_*: unique root in (0, 1) of r**(q-1) + r**(q-2) = 1.
+def _root(q: int, digits: int) -> Decimal:
+    """r_* to ``digits`` significant digits, by Newton's method on
+    ``f(r) = r**(q-1) + r**(q-2) - 1`` from r = 1.
 
-    Plain bisection on [0, 1]; the left-hand side is strictly increasing in
-    r, so the root is bracketed throughout.
+    f is increasing and convex on [0, 1], so the iterates fall
+    monotonically onto the root; the loop ends when a step no longer moves
+    the iterate, or after 64 steps.
     """
-    q = _pow_exponent(q)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid ** (q - 1) + mid ** (q - 2) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    with localcontext(Context(prec=digits)):
+        r = Decimal(1)
+        for _ in range(64):
+            step = (r ** (q - 1) + r ** (q - 2) - 1) / (
+                (q - 1) * r ** (q - 2) + (q - 2) * r ** (q - 3)
+            )
+            if r - step == r:
+                break
+            r -= step
+        return r
+
+
+def fixed_point(q: int) -> float:
+    """The limit factor r_*: unique root in (0, 1) of r**(q-1) + r**(q-2) = 1,
+    correctly rounded to a double (``_root`` at 20 digits)."""
+    return float(_root(_pow_exponent(q), 20))
 
 
 def contraction_map(q: int, r: float) -> float:
-    """One step of the factor recursion: r -> (1 - r**(q-2)) / (1 - r**(q-1))."""
+    """One step of the factor recursion: r -> (1 - r**(q-2)) / (1 - r**(q-1)).
+
+    Accepts a float or a ``Decimal``, computed in the current context.
+    """
     q = _pow_exponent(q)
-    if not 0.0 <= r < 1.0:
+    if not 0 <= r < 1:
         raise ValueError(f"r must lie in [0, 1), got {r!r}")
-    return (1.0 - r ** (q - 2)) / (1.0 - r ** (q - 1))
+    return (1 - r ** (q - 2)) / (1 - r ** (q - 1))
 
 
 @dataclass(frozen=True)
@@ -121,63 +132,43 @@ def contraction_map_derivative_bound(q: int) -> DerivativeBoundReport:
     return DerivativeBoundReport(max_abs_derivative=max_abs, holds=max_abs <= 0.5 + 1e-9)
 
 
-def _highprec_factors(q, k_max):
-    """Factors and fixed point as mpmath numbers, at a precision that resolves
-    every gap ``|r_k - r_*|`` to at least ``GAP_SPARE_DIGITS`` digits.
+def _gap_rows(q, k_max):
+    """Rows ``(r_k, r_*, |r_k - r_*|, (1/2)**k |r_0 - r_*|)`` for
+    k = 0..k_max as ``Decimal``s, at a precision that resolves every gap
+    to at least ``GAP_SPARE_DIGITS`` digits.
 
     Near ``r_*`` the gap shrinks by ``|T'(r_*)|`` per step: 0.3848 at
     q = 4, rising towards 0.3863 for large q, so about 0.413-0.415 decimal
     digits per step, faster than the (1/2)**k envelope.  The first precision
     tried allows 0.42 digits per step; one that leaves the last gap too
     close to the working epsilon is raised by the shortfall and the table
-    recomputed.  The fixed
-    point starts from its double-precision value and is polished by Newton
-    steps on ``r**(q-1) + r**(q-2) - 1`` until a step no longer moves it;
-    from 15 correct digits, ten quadratic steps pass 10**4.
+    recomputed.  Every operation runs inside the working context.
     """
-    import mpmath
-
     q = _pow_exponent(q)
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     digits = 40 + int(0.42 * k_max) + 1
     while True:
-        with mpmath.workdps(digits):
-            r_star = mpmath.mpf(fixed_point(q))
-            for _ in range(64):
-                step = (r_star ** (q - 1) + r_star ** (q - 2) - 1) / (
-                    (q - 1) * r_star ** (q - 2) + (q - 2) * r_star ** (q - 3)
-                )
-                r_star -= step
-                if abs(step) <= mpmath.eps:
-                    break
-            factors = [mpmath.mpf(q - 2) / (q - 1)]
+        r_star = _root(q, digits)
+        with localcontext(Context(prec=digits)):
+            factors = [Decimal(q - 2) / (q - 1)]
             for _ in range(k_max):
                 factors.append(contraction_map(q, factors[-1]))
-            gap = abs(factors[-1] - r_star)
-            spare = 0 if gap == 0 else int(mpmath.floor(mpmath.log10(gap / mpmath.eps)))
+            gaps = [abs(r - r_star) for r in factors]
+            # digits of the last gap above the working epsilon 10**(1 - digits)
+            spare = 0 if gaps[-1] == 0 else gaps[-1].adjusted() + digits - 1
             if spare >= GAP_SPARE_DIGITS:
-                return factors, r_star
+                return [
+                    (r, r_star, gap, gaps[0] / 2 ** k)
+                    for k, (r, gap) in enumerate(zip(factors, gaps))
+                ]
         digits += GAP_SPARE_DIGITS - spare
-
-
-def _gap_rows(q, k_max):
-    """Rows ``(r_k, r_*, |r_k - r_*|, (1/2)**k |r_0 - r_*|)`` for
-    k = 0..k_max, as mpmath numbers from ``_highprec_factors``."""
-    import mpmath
-
-    factors, r_star = _highprec_factors(q, k_max)
-    gap0 = abs(factors[0] - r_star)
-    return [
-        (r, r_star, abs(r - r_star), gap0 / mpmath.mpf(2) ** k)
-        for k, r in enumerate(factors)
-    ]
 
 
 def envelope_holds(q: int, k_max: int) -> bool:
     """Whether |r_k - r_*| <= (1/2)**k |r_0 - r_*| for every k <= k_max.
 
-    Checked in arbitrary precision: the right-hand side drops below any
+    Checked in high precision: the right-hand side drops below any
     double-precision resolution within ~55 steps.
     """
     return all(gap <= envelope for _r, _r_star, gap, envelope in _gap_rows(q, k_max))
@@ -186,7 +177,7 @@ def envelope_holds(q: int, k_max: int) -> bool:
 def contraction_gap_table(q: int, k_max: int):
     """Rows (k, factor, fixed_point, abs_gap, envelope) for factor-convergence plots.
 
-    Computed in arbitrary precision then rounded to doubles, so
+    Computed in high precision then rounded to doubles, so
     ``abs_gap <= envelope`` holds on every row even for k in the hundreds.
     """
     return [(k, *map(float, row)) for k, row in enumerate(_gap_rows(q, k_max))]

@@ -605,6 +605,12 @@ class TestPinnedOutputs:
             id="factors-q6",
         ),
         pytest.param(
+            ("factors", "--q", 100, "--k-max", 400),
+            "be1505df539521ec3d02f3ceea902f12838259cfeec9f03b8ac7417b16f38d0e",
+            "b3f12e01e251351d044de7d4071ebd5497a6f3651628932b66a1d67f067a282f",
+            id="factors-q100-k400",
+        ),
+        pytest.param(
             (*EMPIRICAL, "--regime", "low-snr"),
             "ed0c51ce64f4bdda4f979bd92faca91875cf4f71a1bd0f85e4b4fa38db3948a1",
             "95d4659c9c3f6ba7e5dc99b8e7aca8bfecb9ad5ac69b260241ed81d811386e24",
@@ -966,7 +972,7 @@ class TestOutputDirEnv:
 
 
 # Runs one small call of every data command, and selfcheck, in the same
-# interpreter, then prints the scipy modules that got loaded.
+# interpreter, then prints the scipy and mpmath modules that got loaded.
 COMMANDS_SCRIPT = """
 import json, sys
 from qnbench.cli import main
@@ -978,14 +984,16 @@ calls = [
     ["selfcheck"],
 ]
 codes = [main(argv) for argv in calls]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    name for name in sys.modules if name.split(".")[0] == "scipy")}))
+print(json.dumps({"codes": codes, **{package: sorted(
+    name for name in sys.modules if name.split(".")[0] == package)
+    for package in ("scipy", "mpmath")}}))
 """
 
 
 # Imports the CLI, notes whether mpmath came with it, then writes a
-# factors table (which needs mpmath) and prints the sha256 of its CSV and
-# manifest, the output directory masked as in TestPinnedOutputs.
+# factors table (a high-precision computation in the standard library's
+# decimal) and prints the sha256 of its CSV and manifest, the output
+# directory masked as in TestPinnedOutputs.
 FACTORS_SCRIPT = """
 import hashlib, json, os, sys
 import qnbench.cli
@@ -1016,13 +1024,14 @@ def run_script(script, tmp_path):
 class TestDependencies:
     def test_commands_load_no_scipy(self, tmp_path):
         # numpy's LAPACK does every dense solve: a second BLAS (scipy's
-        # OpenBLAS, with its own thread pool) must not load at all
+        # OpenBLAS, with its own thread pool) must not load at all; the
+        # factor table runs in decimal, so mpmath does not load either
         report = run_script(COMMANDS_SCRIPT, tmp_path)
-        assert report == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+        assert report == {"codes": [0, 0, 0, 0, 0], "scipy": [], "mpmath": []}
 
     def test_cli_import_loads_no_mpmath(self, tmp_path):
-        # only the high-precision factor table imports mpmath, when it runs;
-        # the table's bytes are those written when mpmath loaded with rates
+        # the package never imports mpmath; the table's bytes are those
+        # written when mpmath computed it
         report = run_script(FACTORS_SCRIPT, tmp_path)
         assert report == {"mpmath_on_import": False, "code": 0, "digests": [
             "3951ba9305ed750e021d0fdd08397f5d84430c8ab469b60176b68d6072512b7d",

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qnbench.rates import (
-    _highprec_factors,
+    _gap_rows,
     contraction_gap_table,
     contraction_map,
     contraction_map_derivative_bound,
@@ -35,6 +35,13 @@ class TestFixedPoint:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             fixed_point(3)
+
+    @pytest.mark.parametrize("q", range(4, 101))
+    def test_correctly_rounded(self, q):
+        # the nearest double to a 60-digit root found independently
+        with mpmath.workdps(60):
+            r_star = mpmath.findroot(lambda r: r ** (q - 1) + r ** (q - 2) - 1, 1)
+            assert fixed_point(q) == float(r_star)
 
 
 class TestNewtonFactor:
@@ -160,9 +167,10 @@ class TestHighPrecisionTable:
     @pytest.mark.parametrize("q", [4, 6, 10, 20, 64, 100])
     @pytest.mark.parametrize("k_max", [0, 200, 500])
     def test_polished_fixed_point_residual(self, q, k_max):
-        _, r = _highprec_factors(q, k_max)
+        r = _gap_rows(q, k_max)[0][1]
         digits = 40 + int(0.302 * k_max) + 1  # the working precision
         with mpmath.workdps(digits + 20):
+            r = mpmath.mpf(str(r))
             residual = abs(r ** (q - 1) + r ** (q - 2) - 1)
             assert residual < mpmath.mpf(10) ** -(digits - 5)
 
@@ -180,6 +188,18 @@ class TestHighPrecisionTable:
                 reference.append(abs(r - r_star))
             for k in (347, 360, 400):
                 assert rows[k][3] == pytest.approx(float(reference[k]), rel=1e-12, abs=0)
+
+    def test_subnormal_gap_is_correctly_rounded(self):
+        # at q = 20 the gap first drops below 2**-1022 at k = 741
+        q, k = 20, 741
+        with mpmath.workdps(400):
+            r_star = mpmath.findroot(lambda r: r ** (q - 1) + r ** (q - 2) - 1, 1)
+            r = mpmath.mpf(q - 2) / (q - 1)
+            for _ in range(k):
+                r = (1 - r ** (q - 2)) / (1 - r ** (q - 1))
+            # through a decimal string: one rounding, also below 2**-1022
+            gap = float(mpmath.nstr(abs(r - r_star), 40))
+        assert contraction_gap_table(q, k)[k][3] == gap
 
     def test_single_row_base_case(self):
         rows = contraction_gap_table(4, 0)
