@@ -24,10 +24,10 @@ def main():
         print(f"{q:>4} {newton_factor(q):>20.3f} {fixed_point(q):>18.3f}")
 
     for q in (4, 100):
-        seq = contraction_sequence(q, 8)
-        print(f"\nfactor recursion for q = {q} (r_* = {seq.fixed_point:.6f})")
-        for k, r in enumerate(seq.factors):
-            gap = abs(r - seq.fixed_point)
+        r_star = fixed_point(q)
+        print(f"\nfactor recursion for q = {q} (r_* = {r_star:.6f})")
+        for k, r in enumerate(contraction_sequence(q, 8).factors):
+            gap = abs(r - r_star)
             print(f"  k={k}  r_k={r:.6f}  |r_k - r_*|={gap:.2e}")
 
     print("\nhalving envelope |r_k - r_*| <= (1/2)^k |r_0 - r_*|, k <= 200:")

@@ -89,15 +89,14 @@ def contraction_map(q: int, r: float) -> float:
 
 @dataclass(frozen=True)
 class ContractionSequence:
-    """Factors r_0..r_K of the recursion together with the fixed point r_*."""
+    """Factors r_0..r_K of the recursion; their limit is ``fixed_point(q)``."""
 
     q: int
     factors: np.ndarray
-    fixed_point: float
 
 
 def contraction_sequence(q: int, k_max: int) -> ContractionSequence:
-    """Factors r_0..r_{k_max} in double precision plus the fixed point."""
+    """Factors r_0..r_{k_max} in double precision."""
     q = _pow_exponent(q)
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -105,7 +104,7 @@ def contraction_sequence(q: int, k_max: int) -> ContractionSequence:
     factors[0] = (q - 2) / (q - 1)
     for k in range(1, k_max + 1):
         factors[k] = contraction_map(q, factors[k - 1])
-    return ContractionSequence(q=q, factors=factors, fixed_point=fixed_point(q))
+    return ContractionSequence(q=q, factors=factors)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ between releases.  The construction is fixed here:
   produced independently,
 * uniforms take the top 53 bits of each word, scaled to [0, 1),
 * Gaussians apply the Box-Muller transform to consecutive uniform pairs
-  (pair ``j`` fills outputs ``2j`` and ``2j + 1``).
+  (pair ``j`` fills outputs ``2j`` and ``2j + 1``), the first of each pair
+  moved up by ``2**-53`` into (0, 1].
 
 Independent streams for distinct purposes (data, noise, initial points)
 are derived from one base seed with :func:`derive_seed`.
@@ -74,12 +75,10 @@ def normals(seed: int, count: int) -> np.ndarray:
     for start in range(0, count, NORMALS_BLOCK):
         block = out[start : start + NORMALS_BLOCK]
         pairs = (len(block) + 1) // 2
-        w = _words(seed, 2 * pairs, start)
-        # first word of each pair maps to (0, 1] so log() is finite
-        u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
-        u2 = (w[1::2] >> np.uint64(11)) * 2.0 ** -53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
+        u = uniforms(seed, 2 * pairs, start)
+        # the first of each pair moves to (0, 1], exactly, so log() is finite
+        radius = np.sqrt(-2.0 * np.log(u[0::2] + 2.0 ** -53))
+        angle = 2.0 * np.pi * u[1::2]
         block[0::2] = radius * np.cos(angle)
         block[1::2] = (radius * np.sin(angle))[: len(block) // 2]
     return out

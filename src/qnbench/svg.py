@@ -19,7 +19,8 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 NOT_XML = str.maketrans(
     dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF])
 )
-# Entity references for the text nodes, whose contents come from flags and CSVs.
+# Entity references that ``_text`` applies to every text node, whose contents
+# come from flags and CSVs.
 TEXT_ESCAPES = {**NOT_XML, **str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})}
 
 
@@ -36,6 +37,18 @@ def _transform(values, log_scale, axis_name, row_numbers):
     return out
 
 
+def _span(values):
+    """The axis range of ``values``: their extremes, or a single value
+    widened by 0.5 each way, or by 2**-40 of itself where 0.5 is lost to
+    rounding (magnitudes from about 2**52), so the range always has a width."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    if lo == hi:
+        lo, hi = lo - abs(lo) * 2**-40, hi + abs(hi) * 2**-40
+    return lo, hi
+
+
 def _ticks(lo, hi, log_scale):
     if log_scale:
         first, last = math.floor(lo), math.ceil(hi)
@@ -43,13 +56,20 @@ def _ticks(lo, hi, log_scale):
         return [(d, f"1e{d:d}") for d in decades if lo - 1e-9 <= d <= hi + 1e-9] or [
             (lo, f"{10 ** lo:.3g}"), (hi, f"{10 ** hi:.3g}")
         ]
-    if hi == lo:
-        return [(lo, f"{lo:.6g}")]
-    ticks = []
-    for i in range(5):
-        v = lo + (hi - lo) * i / 4
-        ticks.append((v, f"{v:.6g}"))
-    return ticks
+    steps = (lo + (hi - lo) * i / 4 for i in range(5))
+    return [(v, f"{v:.6g}") for v in steps]
+
+
+def _line(x1, y1, x2, y2, stroke="black", extra=""):
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>'
+
+
+def _text(x, y, body, size, anchor="middle", extra=""):
+    """A text element; ``body`` is outside text, escaped here.  No
+    ``anchor`` leaves the attribute out."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body.translate(TEXT_ESCAPES)}</text>')
 
 
 def line_chart(
@@ -76,15 +96,8 @@ def line_chart(
         xs = _transform([p[0] for p in pts], log_x, "x", rows)
         ys = _transform([p[1] for p in pts], log_y, "y", rows)
         coords[name] = (xs, ys)
-
-    all_x = [v for xs, _ in coords.values() for v in xs]
-    all_y = [v for _, ys in coords.values() for v in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _span([v for xs, _ in coords.values() for v in xs])
+    y_lo, y_hi = _span([v for _, ys in coords.values() for v in ys])
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -105,47 +118,22 @@ def line_chart(
         parts.append(f"<!-- source: {safe} -->")
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title.translate(TEXT_ESCAPES)}</text>'
-        )
+        parts.append(_text(f"{WIDTH / 2:.1f}", 18, title, 14))
 
     axis_y = MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" '
-        f'y2="{axis_y}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{axis_y}" stroke="black"/>'
-    )
+    parts.append(_line(MARGIN_LEFT, axis_y, MARGIN_LEFT + plot_w, axis_y))
+    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, axis_y))
     for v, label in _ticks(x_lo, x_hi, log_x):
-        x = px(v)
-        parts.append(f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" '
-                     f'y2="{axis_y + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        x = f"{px(v):.2f}"
+        parts.append(_line(x, axis_y, x, axis_y + 5))
+        parts.append(_text(x, axis_y + 18, label, 11))
     for v, label in _ticks(y_lo, y_hi, log_y):
         y = py(v)
-        parts.append(f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" '
-                     f'x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{x_label.translate(TEXT_ESCAPES)}</text>"
-    )
-    parts.append(
-        f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{y_label.translate(TEXT_ESCAPES)}</text>"
-    )
+        parts.append(_line(MARGIN_LEFT - 5, f"{y:.2f}", MARGIN_LEFT, f"{y:.2f}"))
+        parts.append(_text(MARGIN_LEFT - 8, f"{y + 4:.2f}", label, 11, anchor="end"))
+    parts.append(_text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 12, x_label, 12))
+    mid = f"{MARGIN_TOP + plot_h / 2:.1f}"
+    parts.append(_text(16, mid, y_label, 12, extra=f' transform="rotate(-90 16 {mid})"'))
 
     for i, (name, (xs, ys)) in enumerate(coords.items()):
         color = PALETTE[i % len(PALETTE)]
@@ -156,12 +144,10 @@ def line_chart(
         )
         ly = MARGIN_TOP + 14 + 16 * i
         lx = MARGIN_LEFT + plot_w - 160
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{name.translate(TEXT_ESCAPES)}</text>'
+            _line(lx, ly - 4, lx + 22, ly - 4, stroke=color, extra=' stroke-width="1.5"')
         )
+        parts.append(_text(lx + 28, ly, name, 11, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

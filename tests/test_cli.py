@@ -826,6 +826,79 @@ class TestSvgCommand:
             if text is not None:
                 assert text in [node.text for node in root.iter(f"{ns}text")]
 
+    # sha256 of whole documents: a change to any element, number format,
+    # escape or axis range moves one
+    @pytest.mark.parametrize("kwargs,digest", [
+        pytest.param(
+            {"series": {"R&D <a>": [(0, 1, 2), (1, 3, 3), (2, 2, 4)],
+                        "b>\x01": [(0, 2, 2), (2, 0.5, 4)]},
+             "x_label": "k<1 & k>0", "y_label": "err\x02", "title": "R&D <q=4>",
+             "source_comment": "runs--a---b.csv.manifest"},
+            "4fa0325396132a3d5cf2d47b64c10bcfd75b92df9c3bd25715129f68c701ca0b",
+            id="two-series-escaped",
+        ),
+        pytest.param(
+            {"series": {"e": [(1, 1, 2), (10, 0.1, 3), (1000, 1e-5, 4)]},
+             "x_label": "k", "y_label": "e", "log_x": True, "log_y": True},
+            "d065691f30abae0625bc8215826f5b3417e05e31a12b5dc365ec3c5c8d98c7d6",
+            id="log-log",
+        ),
+        pytest.param(
+            {"series": {"e": [(0, 2, 2), (1, 5, 3)]}, "x_label": "k", "y_label": "e",
+             "log_y": True},
+            "53cb86b4857fcdecf69094efcb3d0e493cf632a0d235aa7b2d840b97c81445d2",
+            id="log-y-in-one-decade",
+        ),
+        pytest.param(
+            {"series": {"p": [(3, 4, 2)]}, "x_label": "k", "y_label": "e"},
+            "6b219b65aca7c403833f51e02512bf05e65017584aa33424299857744b0e2965",
+            id="single-point",
+        ),
+        pytest.param(
+            {"series": {"c": [(0, 7, 2), (1, 7, 3), (2, 7, 4)]}, "x_label": "k",
+             "y_label": "e"},
+            "2c14dfecdb471f78dbe20e5dd80c8acce63e01d15d27f4d5b7c98fcf8e51c047",
+            id="constant-7",
+        ),
+    ])
+    def test_chart_bytes(self, kwargs, digest):
+        assert hashlib.sha256(line_chart(**kwargs).encode()).hexdigest() == digest
+
+    def test_radius_chart_bytes(self, tmp_path, monkeypatch):
+        # the source comment names the input: the directory is masked
+        monkeypatch.setenv("QNBENCH_OUT_DIR", str(tmp_path))
+        assert run_cli(*TestPinnedOutputs.RADIUS, "--out", "radius.csv") == 0
+        assert run_cli(
+            "svg", "--in", tmp_path / "radius.csv", "--x-col", "n",
+            "--y-cols", "median_min_error", "--log-x", "--log-y", "--out", "radius.svg",
+        ) == 0
+        document = (tmp_path / "radius.svg").read_bytes()
+        assert hashlib.sha256(
+            document.replace(str(tmp_path).encode(), b"$QNBENCH_OUT_DIR")
+        ).hexdigest() == (
+            "5e79d990a3ade15610ffa423b6ad8a1757ff56fb62f94d51cc3f2c0a89134ffa")
+
+    @pytest.mark.parametrize("points,constant", [
+        pytest.param([(0, 1e20, 2), (1, 1e20, 3)], 1, id="y-at-1e20"),
+        pytest.param([(1e17, 1, 2), (1e17, 2, 3)], 0, id="x-at-1e17"),
+    ])
+    def test_constant_large_column_renders(self, points, constant):
+        # +-0.5 is lost to rounding there; the range still has a width
+        root = ET.fromstring(line_chart({"s": points}, "x", "y").encode())
+        polyline = next(root.iter("{http://www.w3.org/2000/svg}polyline"))
+        coords = [p.split(",") for p in polyline.get("points").split()]
+        assert len({c[constant] for c in coords}) == 1
+        assert len({c[1 - constant] for c in coords}) == 2
+
+    def test_constant_large_column_from_the_command(self, tmp_path):
+        data = tmp_path / "data.csv"
+        self.write_csv(data, [(0, 1e20), (1, 1e20)])
+        out = tmp_path / "chart.svg"
+        code = run_cli("svg", "--in", data, "--x-col", "x", "--y-cols", "y", "--out", out)
+        assert code == 0
+        assert out.read_text().count("<polyline") == 1
+        assert (tmp_path / "chart.svg.manifest").exists()
+
 
 def untimed(out):
     """``out``'s lines with each check's time shown as ``t``."""
@@ -971,8 +1044,9 @@ class TestOutputDirEnv:
         assert tree(tmp_path) == before
 
 
-# Runs one small call of every data command, and selfcheck, in the same
-# interpreter, then prints the scipy and mpmath modules that got loaded.
+# Runs one small call of every data command, svg on radius's table, and
+# selfcheck, in the same interpreter, then prints the scipy and mpmath
+# modules that got loaded.
 COMMANDS_SCRIPT = """
 import json, sys
 from qnbench.cli import main
@@ -980,6 +1054,8 @@ calls = [
     ["population", "--preset", "d10-q4", "--iters", "20"],
     ["empirical", "--n", "200", "--trials", "1", "--iters", "20"],
     ["radius", "--n-grid", "50,100,200", "--trials", "2", "--max-iters", "10"],
+    ["svg", "--in", "radius.csv", "--x-col", "n", "--y-cols", "median_min_error",
+     "--log-x", "--log-y"],
     ["factors", "--k-max", "5"],
     ["selfcheck"],
 ]
@@ -1027,7 +1103,7 @@ class TestDependencies:
         # OpenBLAS, with its own thread pool) must not load at all; the
         # factor table runs in decimal, so mpmath does not load either
         report = run_script(COMMANDS_SCRIPT, tmp_path)
-        assert report == {"codes": [0, 0, 0, 0, 0], "scipy": [], "mpmath": []}
+        assert report == {"codes": [0, 0, 0, 0, 0, 0], "scipy": [], "mpmath": []}
 
     def test_cli_import_loads_no_mpmath(self, tmp_path):
         # the package never imports mpmath; the table's bytes are those

@@ -74,16 +74,16 @@ class TestContractionSequence:
 
     def test_close_to_fixed_point_after_five_steps(self):
         seq = contraction_sequence(4, 5)
-        r_star = seq.fixed_point
+        r_star = fixed_point(4)
         assert abs(seq.factors[5] - r_star) < 0.01 * abs(seq.factors[0] - r_star)
 
     @pytest.mark.parametrize("q", [4, 10, 30, 64])
     def test_envelope_in_double_precision_range(self, q):
         # (1/2)^k only stays above double-precision noise for small k
-        seq = contraction_sequence(q, 40)
-        gap0 = abs(seq.factors[0] - seq.fixed_point)
+        seq, r_star = contraction_sequence(q, 40), fixed_point(q)
+        gap0 = abs(seq.factors[0] - r_star)
         for k, r in enumerate(seq.factors):
-            assert abs(r - seq.fixed_point) <= 0.5 ** k * gap0 + 1e-13
+            assert abs(r - r_star) <= 0.5 ** k * gap0 + 1e-13
 
     def test_factors_stay_in_unit_interval(self):
         for q in (4, 7, 12, 33):
