@@ -24,7 +24,6 @@ error, 3 I/O error, 4 assumption violation after retries.
 import argparse
 import csv
 import errno
-import functools
 import itertools
 import math
 import operator
@@ -64,29 +63,32 @@ POPULATION_PRESETS = {
     "d1000-q10": dict(m=2000, d=1000, q=10, step=1e-15),
 }
 
+# Each command's spec lists (name, converter, default); the converter reads
+# the flag's value and the config file's value alike.  A switch
+# (``boolean``) takes no value on the command line.
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
 
-def _cast(kind, text):
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "str":
-        return text
-    if kind == "bool":
-        word = str(text).strip().lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        raise ValueError(f"cannot read {text!r} as a boolean")
-    if kind == "ints":
-        return [int(part) for part in str(text).split(",") if part.strip()]
-    if kind == "strs":
-        return [part.strip() for part in str(text).split(",") if part.strip()]
-    raise ValueError(f"unknown parameter kind {kind!r}")
+def boolean(text):
+    """A switch's value in a config file: true/false, 1/0, yes/no or on/off."""
+    word = text.strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise ValueError(f"cannot read {text!r} as a boolean")
+
+
+def ints(text):
+    """Comma-separated integers; argparse names a bad value by this
+    function's name (``invalid ints value``)."""
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+def strs(text):
+    """Comma-separated words, each stripped."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _parse_config_file(path: Path, names):
@@ -121,7 +123,7 @@ def _resolve(args, spec):
     """
     _one_line(ENV_OUT_DIR, os.environ.get(ENV_OUT_DIR, ""))
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         names = [name for name, _kind, _default in spec]
         file_values = _parse_config_file(Path(args.config), names)
     resolved = {}
@@ -130,11 +132,11 @@ def _resolve(args, spec):
         if flag is not None:
             resolved[name] = flag
         elif name in file_values:
-            resolved[name] = _cast(kind, file_values[name])
+            resolved[name] = kind(file_values[name])
         else:
             resolved[name] = default
-        if kind in ("str", "strs") and resolved[name] is not None:
-            values = [resolved[name]] if kind == "str" else resolved[name]
+        if kind in (str, strs) and resolved[name] is not None:
+            values = [resolved[name]] if kind is str else resolved[name]
             for value in values:
                 _one_line(f"--{name}", value)
     if "out" in resolved:  # fail before any computation
@@ -255,7 +257,7 @@ def _write_outputs(params, command, header, blocks, extras=None) -> int:
 
 # ---------------------------------------------------------------- factors
 
-FACTORS_SPEC = [("q", "int", 4), ("k-max", "int", 40), ("out", "str", "factors.csv")]
+FACTORS_SPEC = [("q", int, 4), ("k-max", int, 40), ("out", str, "factors.csv")]
 
 
 def cmd_factors(params) -> int:
@@ -269,14 +271,14 @@ def cmd_factors(params) -> int:
 # ------------------------------------------------------------- population
 
 POPULATION_SPEC = [
-    ("preset", "str", ""),
-    ("q", "int", None),
-    ("d", "int", None),
-    ("m", "int", None),
-    ("step", "float", None),
-    ("iters", "int", 1000),
-    ("seed", "int", 1),
-    ("out", "str", "population.csv"),
+    ("preset", str, ""),
+    ("q", int, None),
+    ("d", int, None),
+    ("m", int, None),
+    ("step", float, None),
+    ("iters", int, 1000),
+    ("seed", int, 1),
+    ("out", str, "population.csv"),
 ]
 
 
@@ -334,15 +336,15 @@ def cmd_population(params) -> int:
 # -------------------------------------------------------------- empirical
 
 EMPIRICAL_SPEC = [
-    ("regime", "str", "low-snr"),
-    ("n", "int", 10_000),
-    ("d", "int", 4),
-    ("p", "int", 2),
-    ("trials", "int", 5),
-    ("seed", "int", 1),
-    ("gd-step", "float", 0.1),
-    ("iters", "int", 2000),
-    ("out", "str", "empirical.csv"),
+    ("regime", str, "low-snr"),
+    ("n", int, 10_000),
+    ("d", int, 4),
+    ("p", int, 2),
+    ("trials", int, 5),
+    ("seed", int, 1),
+    ("gd-step", float, 0.1),
+    ("iters", int, 2000),
+    ("out", str, "empirical.csv"),
 ]
 
 
@@ -393,17 +395,17 @@ def cmd_empirical(params) -> int:
 # ----------------------------------------------------------------- radius
 
 RADIUS_SPEC = [
-    ("regime", "str", "low-snr"),
-    ("n-grid", "ints", RADIUS_N_GRID),
-    ("trials", "int", 40),
-    ("d", "int", 4),
-    ("p", "int", 2),
-    ("cov", "str", "decaying"),
-    ("method", "str", "bfgs"),
-    ("max-iters", "int", 100),
-    ("init-radius", "float", 1.0),
-    ("seed", "int", 1),
-    ("out", "str", "radius.csv"),
+    ("regime", str, "low-snr"),
+    ("n-grid", ints, RADIUS_N_GRID),
+    ("trials", int, 40),
+    ("d", int, 4),
+    ("p", int, 2),
+    ("cov", str, "decaying"),
+    ("method", str, "bfgs"),
+    ("max-iters", int, 100),
+    ("init-radius", float, 1.0),
+    ("seed", int, 1),
+    ("out", str, "radius.csv"),
 ]
 
 
@@ -436,14 +438,14 @@ def cmd_radius(params) -> int:
 # -------------------------------------------------------------------- svg
 
 SVG_SPEC = [
-    ("in", "str", None),
-    ("x-col", "str", None),
-    ("y-cols", "strs", None),
-    ("log-x", "bool", False),
-    ("log-y", "bool", False),
-    ("title", "str", ""),
-    ("group-col", "str", ""),
-    ("out", "str", "chart.svg"),
+    ("in", str, None),
+    ("x-col", str, None),
+    ("y-cols", strs, None),
+    ("log-x", boolean, False),
+    ("log-y", boolean, False),
+    ("title", str, ""),
+    ("group-col", str, ""),
+    ("out", str, "chart.svg"),
 ]
 
 
@@ -536,12 +538,10 @@ def cmd_selfcheck(_params) -> int:
 
 def _add_spec_flags(parser, spec):
     for name, kind, _default in spec:
-        if kind == "bool":
+        if kind is boolean:
             parser.add_argument(f"--{name}", action="store_const", const=True)
-            continue
-        convert = functools.partial(_cast, kind)
-        convert.__name__ = kind  # argparse reports "invalid int value: 'x'"
-        parser.add_argument(f"--{name}", type=convert)
+        else:  # argparse reports "invalid int value: 'x'" by the converter's name
+            parser.add_argument(f"--{name}", type=kind)
 
 
 COMMANDS = {

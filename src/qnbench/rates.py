@@ -107,14 +107,9 @@ def contraction_sequence(q: int, k_max: int) -> ContractionSequence:
     return ContractionSequence(q=q, factors=factors)
 
 
-@dataclass(frozen=True)
-class DerivativeBoundReport:
-    max_abs_derivative: float
-    holds: bool
-
-
-def contraction_map_derivative_bound(q: int) -> DerivativeBoundReport:
-    """Grid check that the factor map has |derivative| <= 1/2 on [0, 1).
+def contraction_map_derivative_bound(q: int) -> float:
+    """The largest |derivative| of the factor map on a grid over [0, 1),
+    which the theory bounds by 1/2.
 
     Evaluates ``|(q-1) r**(q-2) - r**(2q-4) - (q-2) r**(q-3)| /
     (1 - r**(q-1))**2`` on a uniform grid of ``_DERIVATIVE_GRID_POINTS``
@@ -127,8 +122,7 @@ def contraction_map_derivative_bound(q: int) -> DerivativeBoundReport:
     with np.errstate(divide="ignore"):
         one_minus_pow = -np.expm1((q - 1) * np.log(r))
     one_minus_pow[r == 0.0] = 1.0
-    max_abs = float(np.max(numer / one_minus_pow ** 2))
-    return DerivativeBoundReport(max_abs_derivative=max_abs, holds=max_abs <= 0.5 + 1e-9)
+    return float(np.max(numer / one_minus_pow ** 2))
 
 
 def _gap_rows(q, k_max):

@@ -56,8 +56,14 @@ def _ticks(lo, hi, log_scale):
         return [(d, f"1e{d:d}") for d in decades if lo - 1e-9 <= d <= hi + 1e-9] or [
             (lo, f"{10 ** lo:.3g}"), (hi, f"{10 ** hi:.3g}")
         ]
-    steps = (lo + (hi - lo) * i / 4 for i in range(5))
-    return [(v, f"{v:.6g}") for v in steps]
+    # the fewest significant digits, from 6, at which the labels differ
+    # wherever the ticks do; 17 tells any two doubles apart
+    steps = [lo + (hi - lo) * i / 4 for i in range(5)]
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in steps]
+        if len(set(labels)) >= len(set(steps)):
+            break
+    return list(zip(steps, labels))
 
 
 def _line(x1, y1, x2, y2, stroke="black", extra=""):

@@ -890,6 +890,17 @@ class TestSvgCommand:
         assert len({c[constant] for c in coords}) == 1
         assert len({c[1 - constant] for c in coords}) == 2
 
+    @pytest.mark.parametrize("points", [
+        pytest.param([(0, 1e6, 2), (1, 1e6 + 1, 3)], id="span-1-at-1e6"),
+        pytest.param([(0, 1e20, 2), (1, 1e20, 3)], id="constant-1e20"),
+    ])
+    def test_tick_labels_tell_the_ticks_apart(self, points):
+        # six significant digits label all five y ticks alike here
+        root = ET.fromstring(line_chart({"s": points}, "x", "y").encode())
+        labels = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")
+                  if node.get("text-anchor") == "end"]
+        assert len(set(labels)) == len(labels) == 5
+
     def test_constant_large_column_from_the_command(self, tmp_path):
         data = tmp_path / "data.csv"
         self.write_csv(data, [(0, 1e20), (1, 1e20)])
@@ -972,6 +983,57 @@ class TestConfigPrecedence:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("not a key value line\n")
         assert run_cli("factors", "--config", cfg, "--out", tmp_path / "x.csv") == 2
+
+    def svg_config(self, tmp_path, switches):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n1,1\n10,2\n")
+        cfg = tmp_path / "chart.cfg"
+        cfg.write_text(f"in={data}\nx-col=x\ny-cols=y\n{switches}")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        return data, cfg, out_dir
+
+    def test_config_switch_words(self, tmp_path):
+        data, cfg, out_dir = self.svg_config(tmp_path, "log-x=yes\nlog-y=off\n")
+        out = out_dir / "chart.svg"
+        assert run_cli("svg", "--config", cfg, "--out", out) == 0
+        assert out.read_text() == line_chart(
+            {"y": [(1.0, 1.0, 2), (10.0, 2.0, 3)]}, "x", "y", log_x=True,
+            source_comment=f"{data}.manifest",
+        )
+        manifest = Path(f"{out}.manifest").read_text().splitlines()
+        assert {"y-cols=y", "log-x=1", "log-y=0"} <= set(manifest)
+
+    def test_unreadable_config_switch_is_usage_error(self, tmp_path, capsys):
+        _data, cfg, out_dir = self.svg_config(tmp_path, "log-x=maybe\n")
+        assert run_cli("svg", "--config", cfg, "--out", out_dir / "chart.svg") == 2
+        assert "cannot read 'maybe' as a boolean" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_config_list(self, tmp_path):
+        cfg = tmp_path / "radius.cfg"
+        cfg.write_text("n-grid=50,100,200\n")
+        out = tmp_path / "radius.csv"
+        code = run_cli(
+            "radius", "--config", cfg, "--trials", 3, "--max-iters", 20, "--out", out,
+        )
+        assert code == 0
+        assert "n-grid=50,100,200" in Path(f"{out}.manifest").read_text().splitlines()
+
+    # argparse rejects a flag value its converter cannot read, naming the
+    # converter, and exits through SystemExit(2) before main's handlers
+    @pytest.mark.parametrize("argv,message", [
+        (("factors", "--q", "x"), "argument --q: invalid int value: 'x'"),
+        (("radius", "--n-grid", "1,x"), "argument --n-grid: invalid ints value: '1,x'"),
+        (("empirical", "--gd-step", "abc"),
+         "argument --gd-step: invalid float value: 'abc'"),
+    ])
+    def test_unreadable_flag_value_is_usage_error(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv, "--out", tmp_path / "x.csv")
+        assert stop.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputDirEnv:
